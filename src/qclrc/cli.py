@@ -22,9 +22,10 @@ from typing import Callable, Sequence
 
 from .algebra import factor_unity, make_field
 from .bounds import BoundsReport, full_report
-from .codes import min_distance
+from .codes import distance_strategy, min_distance
 from .construct import FamilySpec, extend_constituent, scan
-from .errors import ConstructionError, ParseError, ResourceLimitError
+from .errors import (ConstructionError, InternalConsistencyError, ParseError,
+                     ResourceLimitError)
 from .reference import REFERENCE_IDS, reference_case
 from .specfile import (from_code, parse, parse_database, parse_matrix,
                        poly_text, render_matrix, to_code, to_decomposition)
@@ -287,9 +288,10 @@ def _run_extend(args: argparse.Namespace) -> tuple[Doc, list[str]]:
 
 def _run_mindist(args: argparse.Namespace) -> tuple[Doc, list[str]]:
     code = to_code(parse_matrix(_read(args.matrixfile)))
-    d = min_distance(code, **_budgets(args))
+    budgets = _budgets(args)
+    d = min_distance(code, **budgets)
     doc = {"command": "mindist", "q": code.field.order, "n": code.n,
-           "k": code.k, "d": d}
+           "k": code.k, "d": d, "method": distance_strategy(code, **budgets)}
     return doc, [f"[{doc['n']}, {doc['k']}, {doc['d']}] over F_{doc['q']}"]
 
 
@@ -360,6 +362,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ConstructionError, ResourceLimitError,
             OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except InternalConsistencyError as err:
+        print(f"internal error: {err}", file=sys.stderr)
         return 1
     if args.format == "structured":
         print(json.dumps(doc, indent=2))

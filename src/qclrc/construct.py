@@ -55,10 +55,6 @@ GREEDY_CANDIDATE_BUDGET = 100_000
 # Largest field order for which the quadric rung searches a binary form.
 QUADRIC_FIELD_CAP = 64
 
-# Verification enumerates only small codes; ladder targets have small
-# distances, so the parity-check search is the fast exact path above this.
-VERIFY_ENUM_CAP = 1 << 16
-
 Database = Mapping[tuple[int, int, int], Sequence[Sequence[int]]]
 
 _greedy_cache: dict[tuple[Field, int, int], tuple[tuple[int, ...], ...]] = {}
@@ -70,7 +66,7 @@ def _verified(code: LinearCode, n: int, k: int, d: int,
     """The candidate iff it has exactly the target parameters."""
     if code.n != n or code.k != k:
         return None
-    if min_distance(code, enum_budget=min(enum_budget, VERIFY_ENUM_CAP),
+    if min_distance(code, enum_budget=enum_budget,
                     rank_budget=rank_budget) != d:
         return None
     return code

@@ -197,8 +197,9 @@ def test_criterion_08(rng):
         code = LinearCode.from_rows(field, n, mat)
         if code.is_zero():
             continue
-        by_enum = min_distance(code, enum_budget=DIM_CAP)
-        by_parity = min_distance(code, enum_budget=1)
+        by_enum = min_distance(code, strategy="enumeration",
+                               enum_budget=DIM_CAP)
+        by_parity = min_distance(code, strategy="parity")
         assert by_enum == by_parity, (
             f"strategies disagree on a [{n}, {code.k}] code over F_{q}: "
             f"{by_enum} != {by_parity}")

@@ -200,6 +200,25 @@ def test_analyze_reports_parse_error_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_analyze_internal_error_is_one_line(capsys, tmp_path):
+    # The telescoped bound 3 exceeds d_S = 2 on this code (true distance
+    # 2), which full_report refuses as an internal inconsistency.
+    path = tmp_path / "telescoped.txt"
+    path.write_text("q: 2\nm: 3\nl: 3\nconstituents:\n"
+                    "  factor 1:\n    field: F_4\n"
+                    "    row: ([1 0], [0 0], [0 1])\n"
+                    "    row: ([0 0], [1 0], [1 1])\n"
+                    "  factor 2:\n    field: F_2\n"
+                    "    row: ([1], [0], [1])\n"
+                    "    row: ([0], [1], [0])\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "absent.txt"))
     assert code == 1
@@ -352,7 +371,24 @@ def test_mindist_reports_parameters(capsys, rs_matrix_file):
     assert code == 0
     assert out.strip() == "[7, 3, 4] over F_5"
     doc = doc_of(capsys, "mindist", rs_matrix_file)
-    assert doc == {"command": "mindist", "q": 5, "n": 7, "k": 3, "d": 4}
+    assert doc == {"command": "mindist", "q": 5, "n": 7, "k": 3, "d": 4,
+                   "method": "enumeration"}
+
+
+def test_mindist_structured_reports_method(capsys, tmp_path):
+    # The [11, 10]_5 zero-sum code: 5^10 codewords against 66 column
+    # subsets, so the parity search runs; the text line does not say so.
+    path = tmp_path / "zero_sum.txt"
+    rows = "".join(
+        "- (" + ", ".join(f"[{1 if j == i else 4 if j == 10 else 0}]"
+                          for j in range(11)) + ")\n"
+        for i in range(10))
+    path.write_text(f"q: 5\nn: 11\nrows:\n{rows}", encoding="utf-8")
+    code, out, _ = run(capsys, "mindist", str(path))
+    assert code == 0
+    assert out == "[11, 10, 2] over F_5\n"
+    doc = doc_of(capsys, "mindist", str(path))
+    assert (doc["d"], doc["method"]) == (2, "parity")
 
 
 def test_mindist_surfaces_budget_exhaustion(capsys, rs_matrix_file):

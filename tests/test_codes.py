@@ -12,6 +12,7 @@ from qclrc.codes import (
     LinearCode,
     cyclic_code,
     cyclic_dual,
+    distance_strategy,
     min_distance,
     min_weight_codeword,
     rref,
@@ -186,7 +187,8 @@ def test_min_distance_strategies_agree(rng):
             continue
         d_enum = min_distance(code, strategy="enumeration")
         d_par = min_distance(code, strategy="parity")
-        assert d_enum == d_par
+        d_auto = min_distance(code, strategy="auto")
+        assert d_enum == d_par == d_auto
         assert d_par <= n - code.k + 1
 
 
@@ -213,6 +215,37 @@ def test_min_distance_auto_falls_back_to_parity():
     d_auto = min_distance(code, enum_budget=8)
     d_enum = min_distance(code, strategy="enumeration")
     assert d_auto == d_enum
+
+
+def zero_sum_code(field, n):
+    return LinearCode.from_rows(
+        field, n, [[1 if j == i else field.neg(1) if j == n - 1 else 0
+                    for j in range(n)] for i in range(n - 1)])
+
+
+def test_distance_strategy_routes_by_cost():
+    # [11, 10]_5: 5^10 codewords against 66 column subsets up to weight 2
+    assert distance_strategy(zero_sum_code(F5, 11)) == "parity"
+    # [15, 5]_16 Reed-Solomon: 16^5 codewords against about 32k subsets
+    # up to weight 11, each an elimination over an extension field
+    F16 = make_field(16)
+    rows = [[F16.pow(a, e) for a in range(1, 16)] for e in range(5)]
+    rs = LinearCode.from_rows(F16, 15, rows)
+    assert distance_strategy(rs) == "enumeration"
+
+
+def test_min_distance_auto_enumerates_when_parity_exceeds_rank_budget():
+    # The parity search would need 7 + 21 subset checks; the enumeration
+    # budget holds all 3^6 codewords, so auto answers instead of raising.
+    code = zero_sum_code(F3, 7)
+    assert distance_strategy(code) == "parity"
+    assert distance_strategy(code, rank_budget=27) == "enumeration"
+    assert min_distance(code, rank_budget=27) == 2
+    with pytest.raises(ResourceLimitError):
+        min_distance(code, strategy="parity", rank_budget=27)
+    # with neither budget met, auto raises as before
+    with pytest.raises(ResourceLimitError, match="instance too large"):
+        min_distance(code, enum_budget=3 ** 6 - 1, rank_budget=27)
 
 
 def test_min_distance_unknown_strategy():
