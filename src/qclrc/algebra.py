@@ -54,7 +54,7 @@ class Field:
     """
 
     __slots__ = ("char", "base", "modulus", "order", "degree", "_sig",
-                 "_exp", "_log", "_unity_ctx")
+                 "_exp", "_log", "_enum_tables", "_unity_ctx")
 
     def __init__(self, char: int, base: "Field | None",
                  modulus: "Poly | None"):
@@ -72,6 +72,7 @@ class Field:
             self._sig = base._sig + (modulus.coeffs,)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._enum_tables: tuple | None = None
         self._unity_ctx: dict[int, "_UnityContext"] = {}
 
     # -- identity ---------------------------------------------------------

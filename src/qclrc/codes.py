@@ -8,10 +8,18 @@ parity-check matrix), each guarded by an explicit budget.  Strategy
 "auto" runs whichever of the two has the lower estimated cost among
 those that fit their budgets (``distance_strategy``); both give the same
 answer, so the choice only moves the running time.
+
+The parity search runs in layers of increasing weight w.  Each layer is
+decided by one of two exact searches, whichever is estimated cheaper for
+(q, n, k, w): a collision of half-supports, costed by the syndromes it
+tabulates and streams, C(n, ceil(w/2)) (q-1)^(ceil(w/2)-1) +
+C(n, floor(w/2)) (q-1)^floor(w/2) entries; or one rank check per w-subset
+of columns, costed at C(n, w) w^2 (n - k) units.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -30,19 +38,28 @@ _NUMPY_TABLE_MAX = 64
 _CHUNK = 1 << 18
 
 # Nanoseconds per unit of work of each distance kernel, for the cost
-# rule in distance_strategy.  Enumeration does q^k * k * n units; the
-# parity search does C(n, w) * w^2 * (n - k) units in layer w.  Measured
-# on the textbook codes of perfbench's distance workload and on random
-# [10..20, 4..10] codes over F_2..F_16, 2-core x86-64, Python 3.11,
-# numpy 2.4, one BLAS thread: enumeration 3.2-5.3 ns over prime fields
-# (float matrix product), 14-19 ns on the lookup-table path, 650-1200 ns
-# on the pure-Python path; the parity search 15-17 ns over prime fields
-# and 175-200 ns over extension fields.
+# rules in distance_strategy and _min_weight_parity.  Enumeration does
+# q^k * k * n units; layer w of the parity search does C(n, w) * w^2 *
+# (n - k) units by rank checks, or tabulates and streams the entries
+# counted in _layer_costs by collision.  Measured on the textbook codes of
+# perfbench's distance workload and on random [10..20, 4..10] codes,
+# 2-core x86-64, Python 3.11, numpy 2.4, one BLAS thread: enumeration
+# 3.2-5.3 ns over prime fields (float matrix product), 14-19 ns on the
+# lookup-table path, 650-1200 ns on the pure-Python path (F_2..F_16 and
+# F_67..F_256).  The rank and collision figures are medians over layers
+# searched to the end (a layer that finds its word stops early), over
+# F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125 (layers of at least
+# 5000 entries or 50000 units): rank checks 164 ns over prime fields
+# (77-350) and 348 ns over extension fields (166-867); collision 213 ns
+# per entry in characteristic 2, where addition is xor (105-422), and
+# 431 ns in odd characteristic (222-714).
 _ENUM_NS_PRIME = 4.0
 _ENUM_NS_TABLE = 17.0
 _ENUM_NS_PYTHON = 800.0
-_PARITY_NS_PRIME = 16.0
-_PARITY_NS_EXTENSION = 190.0
+_RANK_NS_PRIME = 165.0
+_RANK_NS_EXTENSION = 350.0
+_COLLISION_NS_CHAR2 = 210.0
+_COLLISION_NS_ODD = 430.0
 
 
 def rref(rows: Iterable[Sequence[int]], field: Field
@@ -174,72 +191,66 @@ class LinearCode:
 
 
 def _enum_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    q = field.order
-    add = np.empty((q, q), dtype=np.uint8)
-    mul = np.empty((q, q), dtype=np.uint8)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = field.add(a, b)
-            mul[a, b] = field.mul(a, b)
-    return add, mul
+    """The field's addition and multiplication tables, built on first
+    use and then held on the field."""
+    if field._enum_tables is None:
+        q = field.order
+        add = np.empty((q, q), dtype=np.uint8)
+        mul = np.empty((q, q), dtype=np.uint8)
+        for a in range(q):
+            for b in range(q):
+                add[a, b] = field.add(a, b)
+                mul[a, b] = field.mul(a, b)
+        field._enum_tables = (add, mul)
+    return field._enum_tables
 
 
-def _min_weight_enum(code: LinearCode, limit: int) -> int:
-    """Minimum weight by enumerating all q^k nonzero codewords."""
+def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
+    """Least weight over the q^k - 1 nonzero codewords, and the first
+    codeword of that weight in the order of ``LinearCode.codewords``."""
     F = code.field
     q = F.order
     k, n = code.k, code.n
+    best_w, best = n + 1, None
+    if not F.is_prime and q > _NUMPY_TABLE_MAX:
+        for word in code.codewords():
+            w = sum(1 for v in word if v)
+            if 0 < w < best_w:
+                best_w, best = w, word
+                if w == 1:
+                    break
+        return best_w, best
     total = q ** k
     if F.is_prime:
         G = np.array(code.rows, dtype=np.int64)
         use_float = k * (q - 1) * (q - 1) < (1 << 50)
         Gf = G.astype(np.float64) if use_float else G
-        best = n + 1
-        for lo in range(1, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            M = np.empty((hi - lo, k), dtype=np.int64)
-            for i in range(k):
-                M[:, i] = idx % q
-                idx //= q
-            if use_float:
-                C = (M.astype(np.float64) @ Gf) % q
-                w = np.count_nonzero(C, axis=1)
-            else:
-                C = (M @ G) % q
-                w = np.count_nonzero(C, axis=1)
-            best = min(best, int(w.min()))
-            if best == 1:
-                break
-        return best
-    if q <= _NUMPY_TABLE_MAX:
+    else:
         add, mul = _enum_tables(F)
         G = np.array(code.rows, dtype=np.uint8)
-        best = n + 1
-        for lo in range(1, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            M = np.empty((hi - lo, k), dtype=np.uint8)
-            for i in range(k):
-                M[:, i] = idx % q
-                idx //= q
+    for lo in range(1, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        M = np.empty((hi - lo, k), dtype=np.int64 if F.is_prime else np.uint8)
+        for i in range(k):
+            M[:, i] = idx % q
+            idx //= q
+        if not F.is_prime:
             C = np.zeros((hi - lo, n), dtype=np.uint8)
             for i in range(k):
                 term = mul[M[:, i][:, None], G[i][None, :]]
                 C = add[C, term]
-            w = np.count_nonzero(C, axis=1)
-            best = min(best, int(w.min()))
-            if best == 1:
+        elif use_float:
+            C = (M.astype(np.float64) @ Gf) % q
+        else:
+            C = (M @ G) % q
+        w = np.count_nonzero(C, axis=1)
+        i = int(w.argmin())
+        if w[i] < best_w:
+            best_w, best = int(w[i]), tuple(int(v) for v in C[i])
+            if best_w == 1:
                 break
-        return best
-    best = n + 1
-    for word in code.codewords():
-        w = sum(1 for v in word if v)
-        if 0 < w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    return best_w, best
 
 
 def _dependent_mod_p(rows: list[tuple[int, ...]], p: int) -> bool:
@@ -264,19 +275,175 @@ def _dependent_mod_p(rows: list[tuple[int, ...]], p: int) -> bool:
     return True
 
 
+def _rank_layer(F: Field, cols: list[tuple[int, ...]], w: int) -> bool:
+    """Whether some w of the parity-check columns are dependent, by one
+    elimination per column subset."""
+    if F.is_prime:
+        p = F.order
+        return any(_dependent_mod_p([cols[j] for j in subset], p)
+                   for subset in combinations(range(len(cols)), w))
+    return any(rref([cols[j] for j in subset], F)[1] < w
+               for subset in combinations(range(len(cols)), w))
+
+
+def _syndrome_packing(F: Field, rho: int):
+    """Vectors of F_q^rho as Python ints, for the collision search.
+
+    Every base-p digit of every coordinate gets its own slot of bits.  In
+    characteristic 2 a slot is one bit and vector addition is xor.  For
+    odd p a slot has b bits with 2^(b-1) >= p: the sum of two reduced
+    digits stays inside its slot, and adding 2^(b-1) - p to every slot
+    sets a slot's top bit exactly where its digit sum reached p, which is
+    where p is subtracted.  Returns (pack, width, add): pack(x) is the
+    element x as coordinate 0, and coordinate r sits width * r bits
+    higher.
+    """
+    p = F.char
+    bits = 1 if p == 2 else (p - 1).bit_length() + 1
+    width = bits * F.degree
+    if p == 2:
+        return (lambda x: x), width, operator.xor
+
+    def pack(x: int) -> int:
+        packed, t = 0, 0
+        while x:
+            packed |= (x % p) << (bits * t)
+            x //= p
+            t += 1
+        return packed
+
+    ones = ((1 << (width * rho)) - 1) // ((1 << bits) - 1)
+    bias = ((1 << (bits - 1)) - p) * ones
+    top = (1 << (bits - 1)) * ones
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + bias) & top) >> (bits - 1)) * p
+
+    return pack, width, add
+
+
+def _column_multiples(F: Field, cols: list[tuple[int, ...]], packing,
+                      count: int) -> list[list[int]]:
+    """Packed c * h for the nonzero c = 1, ..., count (field indices) of
+    every column h.
+
+    c * h is F_p-linear in the digits of c, so only the multiples by a
+    single power p^i are computed in the field; any other c * h adds the
+    multiple of c's lowest nonzero place to that of c minus that place.
+    """
+    pack, width, add = packing
+    places = [0] * (count + 1)
+    for c in range(1, count + 1):
+        place = 1
+        while c % (place * F.char) == 0:
+            place *= F.char
+        places[c] = place
+    out = []
+    for col in cols:
+        mult = [0] * (count + 1)
+        for c in range(1, count + 1):
+            place = places[c]
+            mult[c] = add(mult[c - place], mult[place]) if place != c \
+                else sum(pack(F.mul(c, v)) << (width * r)
+                         for r, v in enumerate(col))
+        out.append(mult[1:])
+    return out
+
+
+def _weighted_prefixes(multiples: list[list[int]], add, size: int, lo: int,
+                       hi: int, normalised: bool
+                       ) -> list[tuple[int, int, int]]:
+    """(syndrome, support mask, last position) of every choice of size
+    positions in range(lo, hi - 1) with nonzero coefficients, leaving
+    room for one more position below hi; with normalised the first
+    coefficient is 1."""
+    level = [(0, 0, lo - 1)]
+    for t in range(size):
+        nxt = []
+        for s, mask, last in level:
+            for j in range(last + 1, hi - size + t):
+                bit = 1 << j
+                for v in multiples[j][:1] if normalised and t == 0 \
+                        else multiples[j]:
+                    nxt.append((add(s, v), mask | bit, j))
+        level = nxt
+    return level
+
+
+def _collision_layer(multiples: list[list[int]], add, w: int) -> bool:
+    """Whether some w parity-check columns are dependent, given that no
+    fewer are, by collision of half-supports (Stern 1989).
+
+    A word of weight w, scaled so its first coefficient is 1, splits into
+    its first a = ceil(w/2) positions and its last b = floor(w/2), and
+    the two halves' syndromes cancel.  The syndromes of all normalised
+    a-subsets below n - b go into a table, and those of all weighted
+    b-subsets from a on are streamed against it; since the coefficients
+    range over every nonzero value, the streamed set is closed under
+    negation.  Any hit between disjoint halves is a nonzero word of
+    weight w.  Halves that overlap span fewer than w positions, so their
+    difference is the zero word: the same support with the same
+    coefficients, a half meeting itself, which only even w allows and
+    which is skipped.  A skip never hides a word: the table keeps the
+    first of equal syndromes, and a word's left half comes before its
+    right half.  For even w two table entries with one syndrome differ
+    by a nonzero word of weight at most 2a = w, which settles the layer
+    at once.
+    """
+    n = len(multiples)
+    a, b = (w + 1) // 2, w // 2
+    table: dict[int, int] = {}
+    for s, mask, last in _weighted_prefixes(multiples, add, a - 1, 0, n - b,
+                                            True):
+        for j in range(last + 1, n - b):
+            support = mask | 1 << j
+            for v in multiples[j] if a > 1 else multiples[j][:1]:
+                if table.setdefault(add(s, v), support) != support \
+                        and a == b:
+                    return True
+    if b == 0:
+        return 0 in table
+    for s, mask, last in _weighted_prefixes(multiples, add, b - 1, a, n,
+                                            False):
+        for j in range(last + 1, n):
+            support = mask | 1 << j
+            for v in multiples[j]:
+                hit = table.get(add(s, v))
+                if hit is not None and hit != support:
+                    return True
+    return False
+
+
+def _layer_costs(F: Field, n: int, k: int, w: int) -> tuple[float, float]:
+    """Estimated nanoseconds of layer w of the parity search: by collision
+    (table entries) and by rank checks (C(n, w) * w^2 * (n - k) units)."""
+    q = F.order
+    a, b = (w + 1) // 2, w // 2
+    entries = comb(n, a) * (q - 1) ** (a - 1) + comb(n, b) * (q - 1) ** b
+    collision = entries * (_COLLISION_NS_CHAR2 if F.char == 2
+                           else _COLLISION_NS_ODD)
+    rank = comb(n, w) * w * w * (n - k) * (
+        _RANK_NS_PRIME if F.is_prime else _RANK_NS_EXTENSION)
+    return collision, rank
+
+
 def _min_weight_parity(code: LinearCode, rank_budget: int) -> int:
     """Smallest w such that some w parity-check columns are dependent.
 
-    Layers run in increasing w; before each layer the cumulative subset
-    count is checked against the budget, so the search either completes
-    exactly or rejects upfront, never mid-layer with a wrong answer.
+    Layers run in increasing w, each by collision of half-supports or by
+    rank checks, whichever is estimated cheaper; either search decides
+    exactly whether a word of weight w exists, given that no lighter one
+    does.  Before each layer the cumulative subset count is checked
+    against the budget, so the search either completes exactly or
+    rejects upfront, never mid-layer with a wrong answer.
     """
     F = code.field
     H = code.dual().rows
     rho = len(H)
-    n = code.n
+    n, k = code.n, code.k
     cols = [tuple(row[j] for row in H) for j in range(n)]
-    prime = F.is_prime
+    packing = multiples = None
     checked = 0
     for w in range(1, rho + 2):
         checked += comb(n, w)
@@ -284,16 +451,17 @@ def _min_weight_parity(code: LinearCode, rank_budget: int) -> int:
             raise ResourceLimitError(
                 f"instance too large: parity-check search needs up to "
                 f"{checked} subset-rank checks, budget is {rank_budget}")
-        if prime:
-            p = F.order
-            for subset in combinations(range(n), w):
-                if _dependent_mod_p([cols[j] for j in subset], p):
-                    return w
+        collision_ns, rank_ns = _layer_costs(F, n, k, w)
+        if collision_ns < rank_ns:
+            count = 1 if w == 1 else F.order - 1
+            if multiples is None or len(multiples[0]) < count:
+                packing = packing or _syndrome_packing(F, rho)
+                multiples = _column_multiples(F, cols, packing, count)
+            found = _collision_layer(multiples, packing[2], w)
         else:
-            for subset in combinations(range(n), w):
-                _, rank, _ = rref([cols[j] for j in subset], F)
-                if rank < w:
-                    return w
+            found = _rank_layer(F, cols, w)
+        if found:
+            return w
     raise InternalConsistencyError(
         "no dependent column set of size redundancy+1 exists")
 
@@ -309,9 +477,10 @@ def distance_strategy(code: LinearCode, *,
     cap = min(n - k + 1, least weight of a generator row), since every
     row is a codeword; it is only a candidate when its worst-case subset
     count up to cap fits rank_budget, so it cannot run out of budget.
-    Between two candidates the lower estimated time wins; with neither,
-    the answer is "parity", whose search then reports the exhausted
-    budget.
+    Its estimated time is the sum over the layers up to cap of the
+    cheaper of the layer's two searches (``_layer_costs``).  Between two
+    candidates the lower estimated time wins; with neither, the answer
+    is "parity", whose search then reports the exhausted budget.
     """
     if code.k == 0:
         raise ValueError("zero code has no minimum distance")
@@ -323,13 +492,12 @@ def distance_strategy(code: LinearCode, *,
     layers = range(1, cap + 1)
     if sum(comb(n, w) for w in layers) > rank_budget:
         return "enumeration"
-    parity_units = sum(comb(n, w) * w * w for w in layers) * (n - k)
+    parity_ns = sum(min(_layer_costs(F, n, k, w)) for w in layers)
     if F.is_prime:
-        enum_ns, parity_ns = _ENUM_NS_PRIME, _PARITY_NS_PRIME
+        enum_ns = _ENUM_NS_PRIME
     else:
         enum_ns = _ENUM_NS_TABLE if q <= _NUMPY_TABLE_MAX else _ENUM_NS_PYTHON
-        parity_ns = _PARITY_NS_EXTENSION
-    if parity_units * parity_ns < q ** k * k * n * enum_ns:
+    if parity_ns < q ** k * k * n * enum_ns:
         return "parity"
     return "enumeration"
 
@@ -364,13 +532,14 @@ def min_distance(code: LinearCode, *,
         raise ResourceLimitError(
             f"instance too large: {q}^{code.k} codewords exceed the "
             f"enumeration budget {enum_budget}")
-    return _min_weight_enum(code, enum_budget)
+    return _min_weight_enum(code)[0]
 
 
 def min_weight_codeword(code: LinearCode, *,
                         enum_budget: int = ENUM_BUDGET_DEFAULT
                         ) -> tuple[int, tuple[int, ...]]:
-    """A codeword of minimum weight, found by enumeration.
+    """A codeword of minimum weight, found by enumeration: the first one
+    in the order of ``LinearCode.codewords``.
 
     Returns (weight, word).  Intended for small codes (recovery vectors);
     enumeration beyond the budget is rejected.
@@ -380,16 +549,7 @@ def min_weight_codeword(code: LinearCode, *,
     if code.field.order ** code.k > enum_budget:
         raise ResourceLimitError(
             "instance too large for minimum-weight codeword enumeration")
-    best_w = code.n + 1
-    best = None
-    for word in code.codewords():
-        w = sum(1 for v in word if v)
-        if 0 < w < best_w:
-            best_w, best = w, word
-            if w == 1:
-                break
-    assert best is not None
-    return best_w, best
+    return _min_weight_enum(code)
 
 
 # ---------------------------------------------------------------------------

@@ -140,10 +140,10 @@ def test_criterion_05(decomposition_set):
     prefix.  go_bound sums telescoped suffix terms whose minimum-weight
     supports can overlap, so its value can exceed the true distance
     (see test_bounds for a six-coordinate case and the [77, 48] reference
-    code).  Each draw where it does must be a real overshoot: the
-    pure-Python enumeration, independent of the kernel behind
-    min_distance, has to produce a codeword of the rebuilt code with
-    exactly true_d nonzero symbols.
+    code).  Each draw where it does must be a real overshoot:
+    min_weight_codeword has to produce a word with exactly true_d nonzero
+    symbols, and the test itself checks that the rebuilt code contains
+    it, apart from any distance kernel.
     """
     for dec in decomposition_set:
         code = rebuild_code(dec)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from qclrc import codes
 from qclrc.algebra import Poly, factor_unity, make_field
 from qclrc.codes import (
     CyclicCode,
@@ -265,6 +266,117 @@ def test_min_weight_codeword_matches_distance(rng):
         assert w == min_distance(code)
         assert code.contains(word)
         assert sum(1 for v in word if v) == w
+
+
+def scan_min_weight(code):
+    best_w, best = code.n + 1, None
+    for word in code.codewords():
+        w = sum(1 for v in word if v)
+        if 0 < w < best_w:
+            best_w, best = w, word
+    return best_w, best
+
+
+def test_min_weight_codeword_is_first_in_codeword_order(rng):
+    # the enumeration kernel must pick the word the codeword scan picks
+    for _ in range(60):
+        field = rng.choice([F2, F3, F4, F5])
+        n = rng.randint(2, 9)
+        code = random_code(rng, field, n, 5)
+        if code.k > 0:
+            assert min_weight_codeword(code) == scan_min_weight(code)
+    # above the lookup-table size the scan itself runs
+    F128 = make_field(128)
+    rows = [[rng.randrange(1, 128) for _ in range(4)] for _ in range(2)]
+    code = LinearCode.from_rows(F128, 4, rows)
+    assert min_weight_codeword(code) == scan_min_weight(code)
+
+
+def test_enum_tables_held_on_field():
+    F8 = make_field(8)
+    tables = codes._enum_tables(F8)
+    assert codes._enum_tables(make_field(8)) is tables
+    add, mul = tables
+    assert add[3, 5] == F8.add(3, 5) and mul[3, 5] == F8.mul(3, 5)
+
+
+def parity_columns(code):
+    H = code.dual().rows
+    return [tuple(row[j] for row in H) for j in range(code.n)]
+
+
+def collision_layer(code, w):
+    cols = parity_columns(code)
+    packing = codes._syndrome_packing(code.field, len(cols[0]))
+    multiples = codes._column_multiples(code.field, cols, packing,
+                                        code.field.order - 1)
+    return codes._collision_layer(multiples, packing[2], w)
+
+
+@pytest.mark.parametrize("q, rows, d", [
+    # extended Hamming [8, 4, 4]: halves of even layers meet themselves
+    (2, [[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+         [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]], 4),
+    # tetracode [4, 2, 3] over F_3: the same in odd characteristic
+    (3, [[1, 0, 1, 1], [0, 1, 1, 2]], 3),
+    # Reed-Solomon [6, 3, 4] over F_7
+    (7, [[1] * 6, [1, 2, 3, 4, 5, 6], [1, 4, 2, 2, 4, 1]], 4),
+    # [5, 2, 4] over F_4
+    (4, [[1, 0, 1, 2, 3], [0, 1, 1, 3, 2]], 4),
+])
+def test_collision_layer_skips_halves_meeting_themselves(q, rows, d):
+    F = make_field(q)
+    code = LinearCode.from_rows(F, len(rows[0]), rows)
+    assert min_distance(code, strategy="enumeration") == d
+    assert [collision_layer(code, w) for w in range(1, d + 1)] == \
+        [False] * (d - 1) + [True]
+
+
+@pytest.mark.parametrize("choice", ["collision", "rank", "mixed"])
+def test_parity_layers_agree_with_enumeration(rng, monkeypatch, choice):
+    fields = [make_field(q) for q in (2, 3, 4, 5, 8, 9)]
+
+    def costs(*layer):
+        # (collision, rank) estimates that force the choice in each layer
+        if choice == "mixed":
+            return rng.choice([(0, 1), (1, 0)])
+        return (0, 1) if choice == "collision" else (1, 0)
+
+    monkeypatch.setattr(codes, "_layer_costs", costs)
+    seen = set()
+    for _ in range(120):
+        field = rng.choice(fields)
+        n = rng.randint(3, 10)
+        code = random_code(rng, field, n, 4)
+        if code.k in (0, n) or field.order ** code.k > 1 << 14:
+            continue
+        d = min_distance(code, strategy="enumeration")
+        assert min_distance(code, strategy="parity") == d
+        seen.add((field.char == 2, d % 2))
+    assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+def cyclic_rows_from_octal(text, n):
+    g = [int(b) for b in reversed(bin(int(text, 8))[2:])]
+    return [[0] * t + g + [0] * (n - len(g) - t)
+            for t in range(n - len(g) + 1)]
+
+
+@pytest.mark.parametrize("octal, n, k, d", [
+    ("3551", 31, 21, 5),
+    ("12471", 63, 51, 5),
+])
+def test_parity_search_binary_bch(octal, n, k, d):
+    code = LinearCode.from_rows(F2, n, cyclic_rows_from_octal(octal, n))
+    assert code.k == k
+    assert min_distance(code, strategy="parity") == d
+
+
+def test_parity_search_extended_hamming_64():
+    H = [[1] * 64] + [[(x >> b) & 1 for x in range(64)] for b in range(6)]
+    code = LinearCode.from_rows(F2, 64, H).dual()
+    assert code.k == 57
+    assert min_distance(code, strategy="parity") == 4
 
 
 # ---------------------------------------------------------------------------
