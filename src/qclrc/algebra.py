@@ -54,7 +54,7 @@ class Field:
     """
 
     __slots__ = ("char", "base", "modulus", "order", "degree", "_sig",
-                 "_exp", "_log", "_enum_tables", "_unity_ctx")
+                 "_exp", "_log")
 
     def __init__(self, char: int, base: "Field | None",
                  modulus: "Poly | None"):
@@ -72,8 +72,6 @@ class Field:
             self._sig = base._sig + (modulus.coeffs,)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._enum_tables: tuple | None = None
-        self._unity_ctx: dict[int, "_UnityContext"] = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -292,9 +290,7 @@ def make_prime_field(p: int) -> Field:
     return Field(p, None, None)
 
 
-_EXT_CACHE: dict[tuple, Field] = {}
-
-
+@lru_cache(maxsize=None)
 def make_extension(base: Field, modulus: "Poly") -> Field:
     """The quotient field base[x] / <modulus>.
 
@@ -311,11 +307,7 @@ def make_extension(base: Field, modulus: "Poly") -> Field:
         return base
     if not is_irreducible(modulus):
         raise ValueError(f"reducible modulus: {modulus}")
-    key = (base._sig, modulus.coeffs)
-    got = _EXT_CACHE.get(key)
-    if got is None:
-        got = _EXT_CACHE[key] = Field(base.char, base, modulus)
-    return got
+    return Field(base.char, base, modulus)
 
 
 @lru_cache(maxsize=None)
@@ -390,10 +382,6 @@ class Poly:
     @classmethod
     def one(cls, field: Field) -> "Poly":
         return cls(field, (1,))
-
-    @classmethod
-    def constant(cls, field: Field, c: int) -> "Poly":
-        return cls(field, (c,))
 
     @classmethod
     def x_pow(cls, field: Field, e: int) -> "Poly":
@@ -645,11 +633,9 @@ class _UnityContext:
                 raise InternalConsistencyError("root of unity has low order")
 
 
+@lru_cache(maxsize=None)
 def unity_context(m: int, field: Field) -> _UnityContext:
-    ctx = field._unity_ctx.get(m)
-    if ctx is None:
-        ctx = field._unity_ctx[m] = _UnityContext(m, field)
-    return ctx
+    return _UnityContext(m, field)
 
 
 def minimal_polynomial(u: int, m: int, q: int | Field) -> Poly:
@@ -776,7 +762,6 @@ def factor_unity(m: int, q: int | Field) -> Factorization:
     """
     field = q if isinstance(q, Field) else make_field(q)
     cosets = cyclotomic_cosets(m, field)
-    ctx = unity_context(m, field)
     ordered = [c for c in cosets if c.rep != 0] + \
         [c for c in cosets if c.rep == 0]
     infos = []
@@ -800,5 +785,4 @@ def factor_unity(m: int, q: int | Field) -> Factorization:
     if prod != target:
         raise InternalConsistencyError(
             "product of cyclotomic factors is not x^m - 1")
-    _ = ctx
     return Factorization(m, field, tuple(infos))

@@ -18,20 +18,19 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import factor_unity, make_field
 from .bounds import BoundsReport, full_report
 from .codes import distance_strategy, min_distance
 from .construct import FamilySpec, extend_constituent, scan
-from .errors import (ConstructionError, InternalConsistencyError, ParseError,
+from .errors import (ConstructionError, InternalConsistencyError,
                      ResourceLimitError)
 from .reference import REFERENCE_IDS, reference_case
 from .specfile import (from_code, parse, parse_database, parse_matrix,
                        poly_text, render_matrix, to_code, to_decomposition)
 
 Doc = dict
-Run = Callable[[argparse.Namespace], tuple[Doc, list[str]]]
 
 DEFAULT_SEED = 20260819
 DEFAULT_JMAX = 10

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -49,15 +50,16 @@ _CHUNK = 1 << 18
 # F_67..F_256).  The rank and collision figures are medians over layers
 # searched to the end (a layer that finds its word stops early), over
 # F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125 (layers of at least
-# 5000 entries or 50000 units): rank checks 164 ns over prime fields
-# (77-350) and 348 ns over extension fields (166-867); collision 213 ns
-# per entry in characteristic 2, where addition is xor (105-422), and
-# 431 ns in odd characteristic (222-714).
+# 5000 entries or 50000 units): collision 213 ns per entry in
+# characteristic 2, where addition is xor (105-422), and 431 ns in odd
+# characteristic (222-714).  Rank checks, one rref per subset on every
+# field (layers of at most 20000 subsets, two draws of random codes):
+# 259-261 ns over prime fields (128-494), 342-386 ns over extension
+# fields (113-1118), 301-310 ns over both.
 _ENUM_NS_PRIME = 4.0
 _ENUM_NS_TABLE = 17.0
 _ENUM_NS_PYTHON = 800.0
-_RANK_NS_PRIME = 165.0
-_RANK_NS_EXTENSION = 350.0
+_RANK_NS = 300.0
 _COLLISION_NS_CHAR2 = 210.0
 _COLLISION_NS_ODD = 430.0
 
@@ -190,19 +192,17 @@ class LinearCode:
 # minimum distance
 
 
+@lru_cache(maxsize=None)
 def _enum_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """The field's addition and multiplication tables, built on first
-    use and then held on the field."""
-    if field._enum_tables is None:
-        q = field.order
-        add = np.empty((q, q), dtype=np.uint8)
-        mul = np.empty((q, q), dtype=np.uint8)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = field.add(a, b)
-                mul[a, b] = field.mul(a, b)
-        field._enum_tables = (add, mul)
-    return field._enum_tables
+    """The field's addition and multiplication tables."""
+    q = field.order
+    add = np.empty((q, q), dtype=np.uint8)
+    mul = np.empty((q, q), dtype=np.uint8)
+    for a in range(q):
+        for b in range(q):
+            add[a, b] = field.add(a, b)
+            mul[a, b] = field.mul(a, b)
+    return add, mul
 
 
 def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
@@ -253,35 +253,9 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     return best_w, best
 
 
-def _dependent_mod_p(rows: list[tuple[int, ...]], p: int) -> bool:
-    """Whether the rows are linearly dependent over the prime field F_p."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        row = mat[r] = [(inv * v) % p for v in mat[r]]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][c]
-            if f:
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], row)]
-        r += 1
-        if r == len(mat):
-            return False
-    return True
-
-
 def _rank_layer(F: Field, cols: list[tuple[int, ...]], w: int) -> bool:
     """Whether some w of the parity-check columns are dependent, by one
     elimination per column subset."""
-    if F.is_prime:
-        p = F.order
-        return any(_dependent_mod_p([cols[j] for j in subset], p)
-                   for subset in combinations(range(len(cols)), w))
     return any(rref([cols[j] for j in subset], F)[1] < w
                for subset in combinations(range(len(cols)), w))
 
@@ -423,8 +397,7 @@ def _layer_costs(F: Field, n: int, k: int, w: int) -> tuple[float, float]:
     entries = comb(n, a) * (q - 1) ** (a - 1) + comb(n, b) * (q - 1) ** b
     collision = entries * (_COLLISION_NS_CHAR2 if F.char == 2
                            else _COLLISION_NS_ODD)
-    rank = comb(n, w) * w * w * (n - k) * (
-        _RANK_NS_PRIME if F.is_prime else _RANK_NS_EXTENSION)
+    rank = comb(n, w) * w * w * (n - k) * _RANK_NS
     return collision, rank
 
 
@@ -588,9 +561,6 @@ class CyclicCode:
         if not rem.is_zero():
             raise InternalConsistencyError("generator does not divide x^m-1")
         return CyclicCode(F, self.m, h.reciprocal().monic())
-
-    def contains_poly(self, a: Poly) -> bool:
-        return self.gpoly.divides(a) if not a.is_zero() else True
 
 
 def cyclic_code(g: Poly, m: int) -> CyclicCode:

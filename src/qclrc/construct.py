@@ -32,7 +32,8 @@ truncates its index set there with a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from functools import lru_cache
+from itertools import islice, product
 from math import ceil
 from typing import Mapping, Sequence
 
@@ -43,7 +44,6 @@ from .codes import (
     RANK_BUDGET_DEFAULT,
     LinearCode,
     min_distance,
-    rref,
 )
 from .errors import ConstructionError, InternalConsistencyError
 from .qc import ConstituentDecomposition
@@ -56,9 +56,6 @@ GREEDY_CANDIDATE_BUDGET = 100_000
 QUADRIC_FIELD_CAP = 64
 
 Database = Mapping[tuple[int, int, int], Sequence[Sequence[int]]]
-
-_greedy_cache: dict[tuple[Field, int, int], tuple[tuple[int, ...], ...]] = {}
-_quadric_cache: dict[Field, tuple[tuple[int, ...], ...]] = {}
 
 
 def _verified(code: LinearCode, n: int, k: int, d: int,
@@ -105,39 +102,36 @@ def _power_column_code(field: Field, n: int, k: int, d: int
     return LinearCode.from_rows(field, n, rows)
 
 
-def _in_span(vec: Sequence[int], basis: Sequence[Sequence[int]],
-             field: Field) -> bool:
-    _, rank, _ = rref(list(basis), field)
-    _, rank_ext, _ = rref(list(basis) + [tuple(vec)], field)
-    return rank_ext == rank
-
-
+@lru_cache(maxsize=None)
 def _greedy_columns(field: Field, red: int, d: int
                     ) -> tuple[tuple[int, ...], ...]:
-    """All columns the counting-order greedy accepts, cached per target."""
-    key = (field, red, d)
-    got = _greedy_cache.get(key)
-    if got is not None:
-        return got
-    total = field.order ** red
-    if total - 1 > GREEDY_CANDIDATE_BUDGET:
-        got = _greedy_cache[key] = ()
-        return got
-    chosen: list[tuple[int, ...]] = []
-    for value in range(1, total):
-        digits = []
-        rest = value
-        for _ in range(red):
-            rest, digit = divmod(rest, field.order)
-            digits.append(digit)
-        col = tuple(reversed(digits))
-        size = min(d - 2, len(chosen))
-        if size > 0 and any(_in_span(col, subset, field)
-                            for subset in combinations(chosen, size)):
+    """All columns the counting-order greedy accepts.
+
+    A candidate is accepted iff it avoids the span of every (d-2)-subset
+    of the columns already chosen, that is, iff no d-2 or fewer chosen
+    columns combine to it.  ``covered`` maps every such combination to
+    the fewest chosen columns that reach it, so the test is one lookup;
+    an accepted column extends every entry still below d-2 columns by
+    each of its nonzero multiples.
+    """
+    q = field.order
+    if q ** red - 1 > GREEDY_CANDIDATE_BUDGET:
+        return ()
+    covered = {(0,) * red: 0}
+    chosen = []
+    # product runs in base-q counting order, first coordinate highest
+    for col in islice(product(range(q), repeat=red), 1, None):
+        if col in covered:
             continue
         chosen.append(col)
-    got = _greedy_cache[key] = tuple(chosen)
-    return got
+        multiples = [tuple(field.mul(a, v) for v in col) for a in range(1, q)]
+        for vec, t in list(covered.items()):
+            if t < d - 2:
+                for mult in multiples:
+                    key = tuple(map(field.add, vec, mult))
+                    if covered.get(key, d) > t + 1:
+                        covered[key] = t + 1
+    return tuple(chosen)
 
 
 def _anisotropic_form(field: Field) -> tuple[int, int] | None:
@@ -154,11 +148,9 @@ def _anisotropic_form(field: Field) -> tuple[int, int] | None:
     return None
 
 
+@lru_cache(maxsize=None)
 def _quadric_columns(field: Field) -> tuple[tuple[int, ...], ...]:
-    """q^2 + 1 columns in 4 rows with no 3 linearly dependent, cached."""
-    got = _quadric_cache.get(field)
-    if got is not None:
-        return got
+    """q^2 + 1 columns in 4 rows with no 3 linearly dependent."""
     form = _anisotropic_form(field)
     if form is None:
         raise InternalConsistencyError(
@@ -172,8 +164,7 @@ def _quadric_columns(field: Field) -> tuple[tuple[int, ...], ...]:
                                     field.mul(c, field.mul(s, t))),
                           field.mul(e, field.mul(t, t)))
             cols.append((1, b, s, t))
-    got = _quadric_cache[field] = tuple(cols)
-    return got
+    return tuple(cols)
 
 
 def exact_code(field: Field, n: int, k: int, d: int, *,

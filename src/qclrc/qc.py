@@ -19,8 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .algebra import FactorInfo, Factorization, Field, Poly, factor_unity, \
-    field_trace
+from .algebra import Factorization, Field, Poly, factor_unity, field_trace
 from .codes import (
     ENUM_BUDGET_DEFAULT,
     RANK_BUDGET_DEFAULT,

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from qclrc.algebra import factor_unity, make_field
 from qclrc.bounds import prefix_bound, singleton_bound
-from qclrc.codes import LinearCode, min_distance
+from qclrc.codes import LinearCode, min_distance, rref
 from qclrc.construct import (
     FamilySpec,
     ScanRow,
+    _greedy_columns,
     build_cj,
     chain_condition,
     ds_of_cj,
@@ -81,6 +84,39 @@ def test_exact_code_padded_core():
 def test_exact_code_greedy_columns():
     assert params(exact_code(F5, 8, 4, 4)) == (8, 4, 4)
     assert params(exact_code(F5, 16, 12, 4)) == (16, 12, 4)
+
+
+def _subset_span_greedy(field, red: int, d: int):
+    """The greedy rung by its definition: a column, in base-q counting
+    order, is accepted iff it lies in the span of no min(d-2, chosen)-
+    subset of the columns accepted before it, each span checked by rank."""
+    q = field.order
+    chosen = []
+    for value in range(1, q ** red):
+        col = tuple(value // q ** (red - 1 - r) % q for r in range(red))
+        size = min(d - 2, len(chosen))
+        if size > 0 and any(
+                rref(subset + (col,), field)[1] == rref(subset, field)[1]
+                for subset in combinations(chosen, size)):
+            continue
+        chosen.append(col)
+    return tuple(chosen)
+
+
+def test_greedy_columns_match_subset_span_definition():
+    keys = [(q, red, d) for q in (2, 3, 4, 5, 7, 8, 9)
+            for red in range(1, 7) if q ** red <= 64
+            for d in range(2, red + 2)]
+    assert len(keys) == 43
+    for q, red, d in keys:
+        F = make_field(q)
+        assert _greedy_columns(F, red, d) == _subset_span_greedy(F, red, d), \
+            (q, red, d)
+    assert _greedy_columns(F5, 4, 4) == (
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
+        (0, 1, 2, 3), (0, 1, 3, 4), (1, 0, 0, 0), (1, 0, 1, 1),
+        (1, 0, 2, 3), (1, 0, 3, 4), (1, 1, 0, 1), (1, 1, 1, 0),
+        (1, 1, 3, 2), (1, 2, 0, 4), (1, 4, 1, 3), (1, 4, 2, 0))
 
 
 def test_exact_code_quadric_columns():

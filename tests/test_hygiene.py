@@ -1,0 +1,98 @@
+"""Dead-code guard over the package sources, by syntax tree only.
+
+Every name a module imports is used in that module, and every top-level
+function, class and assigned name and every method is referenced
+somewhere in src/, tests/ or perfbench/ besides its own definition.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qclrc"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _modules() -> list[Path]:
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Identifiers a file refers to: loaded names, attributes, imported
+    names, and string constants that are dotted identifiers (such as
+    ``__all__`` entries or ``"LinearCode.from_rows"``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                         ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out |= set(parts)
+    return out
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of top-level functions, classes, assigned names and
+    the methods of top-level classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, ast.ClassDef):
+            out.append((node.name, node.lineno))
+            out += [(item.name, item.lineno) for item in node.body
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [(t.id, node.lineno) for target in targets
+                    for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in out if not _is_dunder(name)]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in _modules():
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == \
+                    "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_definition_is_referenced():
+    referenced: set[str] = set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            referenced |= _references(_tree(path))
+    dead = [f"{path.name}:{line} {name}" for path in _modules()
+            for name, line in _definitions(_tree(path))
+            if name not in referenced]
+    assert dead == []
