@@ -732,7 +732,8 @@ class Factorization:
     """The factorization of x^m - 1 over F_q, one factor per coset.
 
     Factors are ordered by nonzero representative ascending, with the
-    x - 1 factor (representative 0) last.
+    x - 1 factor (representative 0) last.  ``_subcode_cache`` maps an
+    index set to its associated cyclic code (see ``codes.subcode_from_bz``).
     """
 
     m: int
@@ -758,9 +759,16 @@ def factor_unity(m: int, q: int | Field) -> Factorization:
     """Factor x^m - 1 over F_q into irreducible polynomials.
 
     One factor per cyclotomic coset; the product is verified to equal
-    x^m - 1 exactly.  The factor x - 1 carries the last index.
+    x^m - 1 exactly.  The factor x - 1 carries the last index.  One
+    Factorization per (m, field) is built per process and shared by
+    every caller.
     """
     field = q if isinstance(q, Field) else make_field(q)
+    return _factor_unity(m, field)
+
+
+@lru_cache(maxsize=None)
+def _factor_unity(m: int, field: Field) -> Factorization:
     cosets = cyclotomic_cosets(m, field)
     ordered = [c for c in cosets if c.rep != 0] + \
         [c for c in cosets if c.rep == 0]

@@ -488,6 +488,12 @@ def min_distance(code: LinearCode, *,
     symbols of the code's own alphabet.  The zero code is rejected;
     budget exhaustion raises ResourceLimitError rather than returning a
     wrong answer.
+
+    Answers of strategy "auto" are cached for the life of the process,
+    keyed by (code, enum_budget, rank_budget); the code is its RREF
+    generator matrix, so equal codes share an entry.  Exceptions are not
+    cached, so a call raises exactly where a first call with the same
+    budgets would.  A named strategy always runs its kernel.
     """
     if strategy not in ("auto", "enumeration", "parity"):
         raise ValueError(f"unknown strategy: {strategy!r}")
@@ -496,8 +502,20 @@ def min_distance(code: LinearCode, *,
     if code.k == code.n:
         return 1
     if strategy == "auto":
-        strategy = distance_strategy(code, enum_budget=enum_budget,
-                                     rank_budget=rank_budget)
+        return _auto_distance(code, enum_budget, rank_budget)
+    return _run_kernel(code, strategy, enum_budget, rank_budget)
+
+
+@lru_cache(maxsize=None)
+def _auto_distance(code: LinearCode, enum_budget: int,
+                   rank_budget: int) -> int:
+    strategy = distance_strategy(code, enum_budget=enum_budget,
+                                 rank_budget=rank_budget)
+    return _run_kernel(code, strategy, enum_budget, rank_budget)
+
+
+def _run_kernel(code: LinearCode, strategy: str, enum_budget: int,
+                rank_budget: int) -> int:
     if strategy == "parity":
         return _min_weight_parity(code, rank_budget)
     q = code.field.order
@@ -542,8 +560,9 @@ class CyclicCode:
     def k(self) -> int:
         return self.m - self.gpoly.degree
 
+    @lru_cache(maxsize=None)
     def linear_code(self) -> LinearCode:
-        """Generator matrix rows x^t * g for t = 0..k-1."""
+        """Generator matrix rows x^t * g for t = 0..k-1 (cached)."""
         g = list(self.gpoly.coeffs)
         rows = []
         for t in range(self.k):
@@ -553,8 +572,10 @@ class CyclicCode:
             rows.append(row)
         return LinearCode.from_rows(self.field, self.m, rows)
 
+    @lru_cache(maxsize=None)
     def dual(self) -> "CyclicCode":
-        """Cyclic dual: reciprocal of (x^m - 1)/g, normalized monic."""
+        """Cyclic dual: reciprocal of (x^m - 1)/g, normalized monic
+        (cached)."""
         F = self.field
         xm1 = Poly.x_pow(F, self.m).sub(Poly.one(F))
         h, rem = xm1.divmod(self.gpoly)
@@ -582,13 +603,17 @@ def subcode_from_bz(I: Iterable[int], fact: Factorization) -> CyclicCode:
     roots selected by I (1-based factor indices into the factorization).
 
     The code is the cyclic dual of the code generated by the product of
-    the minimal polynomials of the selected roots' inverses.
+    the minimal polynomials of the selected roots' inverses.  It is built
+    once per index set and kept in ``fact._subcode_cache``.
     """
-    idx = sorted(set(I))
-    if not idx:
+    key = frozenset(I)
+    got = fact._subcode_cache.get(key)
+    if got is not None:
+        return got
+    if not key:
         raise ValueError("empty index set")
     polys = []
-    for i in idx:
+    for i in sorted(key):
         if not 1 <= i <= fact.num_factors:
             raise ValueError(f"factor index {i} out of range")
         u = fact.factors[i - 1].rep
@@ -598,19 +623,14 @@ def subcode_from_bz(I: Iterable[int], fact: Factorization) -> CyclicCode:
     g = Poly.one(fact.field)
     for p in polys:
         g = g.mul(p)
-    return cyclic_code(g, fact.m).dual()
+    got = fact._subcode_cache[key] = cyclic_code(g, fact.m).dual()
+    return got
 
 
 def subcode_distance(fact: Factorization, I: Iterable[int], *,
                      enum_budget: int = ENUM_BUDGET_DEFAULT,
                      rank_budget: int = RANK_BUDGET_DEFAULT) -> int:
-    """Minimum distance of subcode_from_bz(I, fact), cached per index set."""
-    key = frozenset(I)
-    cache = fact._subcode_cache
-    got = cache.get(key)
-    if got is None:
-        sub = subcode_from_bz(key, fact)
-        got = cache[key] = min_distance(
-            sub.linear_code(), enum_budget=enum_budget,
-            rank_budget=rank_budget)
-    return got
+    """Minimum distance of subcode_from_bz(I, fact), through the cache of
+    min_distance, so the budgets bind as in a first call."""
+    return min_distance(subcode_from_bz(I, fact).linear_code(),
+                        enum_budget=enum_budget, rank_budget=rank_budget)

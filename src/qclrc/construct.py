@@ -175,8 +175,19 @@ def exact_code(field: Field, n: int, k: int, d: int, *,
 
     Rungs are tried in a fixed order (see the module docstring), each
     output is verified exactly, and failure to verify moves to the next
-    rung, so equal inputs always return equal codes.
+    rung, so equal inputs always return equal codes.  Without a database
+    the code is built once per process for each (field, n, k, d,
+    enum_budget, rank_budget); errors are not cached.  A database is a
+    mapping, not hashable, so that path builds the code on every call.
     """
+    if database is None:
+        return _exact_code_cached(field, n, k, d, enum_budget, rank_budget,
+                                  None)
+    return _exact_code(field, n, k, d, enum_budget, rank_budget, database)
+
+
+def _exact_code(field: Field, n: int, k: int, d: int, enum_budget: int,
+                rank_budget: int, database: Database | None) -> LinearCode:
     if not 1 <= k <= n:
         raise ValueError(f"dimension {k} outside 1..{n}")
     if d < 1:
@@ -222,6 +233,9 @@ def exact_code(field: Field, n: int, k: int, d: int, *,
     raise ConstructionError(
         f"existence not established for a [{n}, {k}, {d}] code over a "
         f"field of order {field.order}")
+
+
+_exact_code_cached = lru_cache(maxsize=None)(_exact_code)
 
 
 def extend_constituent(code: LinearCode, j: int, *,
@@ -335,8 +349,6 @@ def build_cj(spec: FamilySpec, j: int, *,
                                rank_budget=rank_budget))
         pos += 1
     dec = ConstituentDecomposition(spec.base.fact, ell, tuple(cons))
-    for pos, i in enumerate(spec.nonzero):
-        dec._dcache[i] = spec.dists[pos]
     expected_k = sum((ki + j) * b
                      for ki, b in zip(spec.dims, spec.degrees))
     if dec.dimension() != expected_k:

@@ -82,7 +82,11 @@ def qc_from_matrix_rows(field: Field, m: int, ell: int,
 @dataclass(frozen=True)
 class ConstituentDecomposition:
     """Constituent codes of a quasi-cyclic code, one per factor of
-    x^m - 1, aligned with the factorization order."""
+    x^m - 1, aligned with the factorization order.
+
+    ``_dcache`` records each constituent distance found, by 1-based
+    index, and the generator matrix under "genmat".
+    """
 
     fact: Factorization
     ell: int
@@ -127,12 +131,14 @@ class ConstituentDecomposition:
     def constituent_distance(self, i: int, *,
                              enum_budget: int = ENUM_BUDGET_DEFAULT,
                              rank_budget: int = RANK_BUDGET_DEFAULT) -> int:
-        """Minimum distance of the i-th (1-based) constituent, cached."""
-        got = self._dcache.get(i)
-        if got is None:
-            got = self._dcache[i] = min_distance(
-                self.constituents[i - 1], enum_budget=enum_budget,
-                rank_budget=rank_budget)
+        """Minimum distance of the i-th (1-based) constituent.
+
+        The answer comes from the cache of min_distance, so the budgets
+        bind as in a first call; ``_dcache[i]`` records it.
+        """
+        got = self._dcache[i] = min_distance(
+            self.constituents[i - 1], enum_budget=enum_budget,
+            rank_budget=rank_budget)
         return got
 
 

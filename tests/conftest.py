@@ -1,12 +1,16 @@
 """Shared test configuration.
 
 Every randomized test draws from a ``random.Random`` seeded through the
-``--seed`` command line option, so failures replay exactly.
+``--seed`` command line option, so failures replay exactly.  Every
+``functools.lru_cache`` in ``qclrc`` is cleared before each test, so a
+test runs as it would alone and no test's coverage of a kernel depends on
+which tests ran before it.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -17,6 +21,29 @@ def pytest_addoption(parser):
     parser.addoption(
         "--seed", action="store", type=int, default=DEFAULT_SEED,
         help="seed for randomized property tests")
+
+
+def _qclrc_caches() -> list:
+    """Every lru_cache of a qclrc module: module functions and methods of
+    the module's classes."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] != "qclrc":
+            continue
+        for obj in vars(mod).values():
+            owned = [obj]
+            if isinstance(obj, type) and obj.__module__ == name:
+                owned += vars(obj).values()
+            for fn in owned:
+                if callable(getattr(fn, "cache_clear", None)):
+                    found[id(fn)] = fn
+    return list(found.values())
+
+
+@pytest.fixture(autouse=True)
+def _cold_caches():
+    for fn in _qclrc_caches():
+        fn.cache_clear()
 
 
 @pytest.fixture

@@ -368,3 +368,9 @@ def test_factor_by_member():
     assert fact.factor_by_member(6).rep == 3
     assert fact.factor_by_member(-1).rep == 3
     assert fact.factor_by_member(0).rep == 0
+
+
+def test_factor_unity_shared_per_field():
+    fact = factor_unity(7, 2)
+    assert factor_unity(7, make_field(2)) is fact
+    assert factor_unity(7, 4) is not fact

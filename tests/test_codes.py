@@ -510,3 +510,80 @@ def test_subcode_distance_cached():
     assert subcode_distance(fact, (1,)) == 4
     assert frozenset([1]) in fact._subcode_cache
     assert subcode_distance(fact, [1, 2]) == 2
+
+
+def test_subcode_is_built_once_per_index_set():
+    fact = factor_unity(7, 2)
+    sub = subcode_from_bz([1, 2], fact)
+    assert subcode_from_bz((2, 1, 1), fact) is sub
+    assert fact._subcode_cache[frozenset([1, 2])] is sub
+    assert sub.dual() is sub.dual()
+    assert sub.linear_code() is sub.linear_code()
+
+
+def test_subcode_distance_budget_binds_after_cached_call():
+    # a first call with budget 1 raises; an earlier default call on the
+    # same subcode must not answer it
+    fact = factor_unity(7, 2)
+    assert subcode_distance(fact, [1]) == 4
+    with pytest.raises(ResourceLimitError):
+        subcode_distance(fact, [1], enum_budget=1, rank_budget=1)
+    shared = factor_unity(7, make_field(2))
+    assert shared is fact
+    with pytest.raises(ResourceLimitError):
+        subcode_distance(shared, [1], enum_budget=1, rank_budget=1)
+    assert subcode_distance(shared, [1]) == 4
+
+
+def test_subcode_distance_tight_budget_raises_cold():
+    fact = factor_unity(7, 2)
+    with pytest.raises(ResourceLimitError):
+        subcode_distance(fact, [1], enum_budget=1, rank_budget=1)
+    assert subcode_distance(fact, [1]) == 4
+
+
+def counting(monkeypatch, name):
+    calls = []
+    kernel = getattr(codes, name)
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(codes, name, counted)
+    return calls
+
+
+def test_named_strategy_runs_its_kernel_after_auto(monkeypatch):
+    code = cyclic_code(Poly(F2, [1, 1, 1, 0, 1]), 7).linear_code()
+    assert min_distance(code) == 4
+    parity = counting(monkeypatch, "_min_weight_parity")
+    enum = counting(monkeypatch, "_min_weight_enum")
+    for _ in range(2):
+        assert min_distance(code, strategy="parity") == 4
+        assert min_distance(code, strategy="enumeration") == 4
+    assert (len(parity), len(enum)) == (2, 2)
+    assert min_distance(code) == 4
+    assert (len(parity), len(enum)) == (2, 2)
+
+
+def test_auto_distance_cached_per_budget(monkeypatch):
+    code = cyclic_code(Poly(F2, [1, 1, 1, 0, 1]), 7).linear_code()
+    parity = counting(monkeypatch, "_min_weight_parity")
+    enum = counting(monkeypatch, "_min_weight_enum")
+    same = LinearCode.from_rows(F2, 7, reversed(code.rows))
+    assert same == code and same is not code
+    assert min_distance(code) == min_distance(same) == 4
+    assert len(parity) + len(enum) == 1
+    assert min_distance(code, enum_budget=1) == 4
+    assert len(parity) + len(enum) == 2
+
+
+def test_resource_limit_is_not_cached(monkeypatch):
+    code = cyclic_code(Poly(F2, [1, 1, 1, 0, 1]), 7).linear_code()
+    parity = counting(monkeypatch, "_min_weight_parity")
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            min_distance(code, enum_budget=1, rank_budget=1)
+    assert len(parity) == 2
+    assert min_distance(code) == 4

@@ -136,6 +136,21 @@ def test_exact_code_deterministic():
     assert a == b
 
 
+def test_exact_code_cached_without_database():
+    code = exact_code(F5, 12, 8, 4)
+    assert exact_code(F5, 12, 8, 4) is code
+    assert exact_code(F5, 12, 8, 4, enum_budget=1) == code
+    db = {(5, 12, 8): code.rows}
+    assert exact_code(F5, 12, 8, 4, database=db) == code
+
+
+def test_exact_code_database_path_builds_afresh():
+    db = nine_five_db()
+    first = exact_code(F4, 9, 5, 3, database=db)
+    assert exact_code(F4, 9, 5, 3, database=db) is not first
+    assert exact_code(F4, 9, 5, 3, database=db) == first
+
+
 def test_exact_code_beyond_quadric_fails():
     with pytest.raises(ConstructionError, match="existence not established"):
         exact_code(F5, 27, 23, 4)

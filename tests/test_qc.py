@@ -15,6 +15,7 @@ import pytest
 
 from qclrc.algebra import Poly, factor_unity, make_field, unity_context
 from qclrc.codes import LinearCode, min_distance, rref, subcode_from_bz
+from qclrc.errors import ResourceLimitError
 from qclrc.qc import (
     AssociatedCodes,
     ConstituentDecomposition,
@@ -32,6 +33,7 @@ from qclrc.qc import (
     trace_codeword,
     unflatten,
 )
+from qclrc.reference import reference_case
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -390,3 +392,20 @@ def test_constituent_distance_cached():
     dec = example_dec_21_15()
     assert dec.constituent_distance(1) == 2
     assert dec._dcache[1] == 2
+
+
+def test_constituent_distance_budget_binds_after_cached_call():
+    # a first call with budget 1 raises on F_8^3 (8^2 codewords, 3
+    # one-column subsets); an earlier default call must not answer it,
+    # on the same decomposition or on another sharing its factorization
+    first = reference_case("4.1")
+    with pytest.raises(ResourceLimitError):
+        first.constituent_distance(1, enum_budget=1, rank_budget=1)
+    assert first.constituent_distance(1) == 2
+    with pytest.raises(ResourceLimitError):
+        first.constituent_distance(1, enum_budget=1, rank_budget=1)
+    second = reference_case("4.1")
+    assert second.fact is first.fact
+    with pytest.raises(ResourceLimitError):
+        second.constituent_distance(1, enum_budget=1, rank_budget=1)
+    assert second.constituent_distance(1) == 2
