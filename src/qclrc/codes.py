@@ -2,12 +2,27 @@
 
 Generator matrices are normalized to reduced row-echelon form, so two
 codes are equal exactly when their stored matrices are equal.  Minimum
-distance is computed exactly by one of two strategies (full codeword
+distance is computed exactly by one of two strategies (codeword
 enumeration, or a search for the smallest dependent column set of a
 parity-check matrix), each guarded by an explicit budget.  Strategy
 "auto" runs whichever of the two has the lower estimated cost among
 those that fit their budgets (``distance_strategy``); both give the same
 answer, so the choice only moves the running time.
+
+Enumeration is one encoding kernel, ``_encode`` (float matrix products
+over prime fields, lookup tables up to order 64, field operations
+above), fed by one of two message generators.  The projective pass
+encodes only the messages whose most significant nonzero digit is 1,
+(q^k - 1)/(q - 1) of the q^k: nonzero multiples of a word have its
+weight, and the multiple with top digit 1 comes first in codeword
+order, so the pass still finds the first least-weight word
+(``min_weight_codeword``).  For ``min_distance`` alone, a code with N >=
+2 disjoint information sets may instead be searched by the
+Brouwer-Zimmermann method (``_min_weight_bz``): messages of weight t = 1,
+2, ... on each set's systematic generator, until the least weight seen
+meets the floor N (t + 1) that every word not yet seen exceeds.  It runs
+when its estimated cost is lower (``_enumeration_plan``).  Either way
+the enumeration budget bounds q^k.
 
 The parity search runs in layers of increasing weight w.  Each layer is
 decided by one of two exact searches, whichever is estimated cheaper for
@@ -22,7 +37,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Sequence
 
@@ -36,29 +51,38 @@ RANK_BUDGET_DEFAULT = 10 ** 7
 
 # numpy enumeration uses lookup tables up to this field order
 _NUMPY_TABLE_MAX = 64
+# messages encoded per block by the numpy paths and by the pure-Python path
 _CHUNK = 1 << 18
+_PY_CHUNK = 1 << 8
 
 # Nanoseconds per unit of work of each distance kernel, for the cost
-# rules in distance_strategy and _min_weight_parity.  Enumeration does
-# q^k * k * n units; layer w of the parity search does C(n, w) * w^2 *
+# rules in distance_strategy, _enumeration_plan and _min_weight_parity.
+# Enumeration does k * n units per message encoded, plus a fixed cost per
+# block of messages after the first, and the Brouwer-Zimmermann search
+# one elimination of k^2 * n units per information set, charged at the
+# rank-check rate; layer w of the parity search does C(n, w) * w^2 *
 # (n - k) units by rank checks, or tabulates and streams the entries
-# counted in _layer_costs by collision.  Measured on the textbook codes of
-# perfbench's distance workload and on random [10..20, 4..10] codes,
-# 2-core x86-64, Python 3.11, numpy 2.4, one BLAS thread: enumeration
-# 3.2-5.3 ns over prime fields (float matrix product), 14-19 ns on the
-# lookup-table path, 650-1200 ns on the pure-Python path (F_2..F_16 and
-# F_67..F_256).  The rank and collision figures are medians over layers
-# searched to the end (a layer that finds its word stops early), over
-# F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125 (layers of at least
-# 5000 entries or 50000 units): collision 213 ns per entry in
-# characteristic 2, where addition is xor (105-422), and 431 ns in odd
-# characteristic (222-714).  Rank checks, one rref per subset on every
+# counted in _layer_costs by collision.  Measured on 2-core x86-64,
+# Python 3.11, numpy 2.4, one BLAS thread.  Projective passes over random
+# [2k, k] and [3k, k] codes (F_2 k <= 18 up to F_256 k = 2): 1.9-5.2 ns
+# over prime fields (median 3.4; float matrix product), 18-25 ns on the
+# lookup-table path (median 20.5), 740-1870 ns on the pure-Python path
+# (F_81..F_256, median 1130).  The search on Reed-Solomon codes over
+# F_7..F_49, binary Golay, Reed-Muller and BCH codes and random [2k..4k,
+# k] codes: the same rate per message on large runs, and 50 us (prime)
+# to 85 us (lookup tables) per block beyond it (medians); finding the
+# information sets, 180-540 ns per k^2 n unit over prime fields and
+# 330-1540 ns over extension fields.  The rank and collision figures are
+# medians over layers searched to the end (a layer that finds its word
+# stops early), over F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125
+# (layers of at least 5000 entries or 50000 units): collision 213 ns per
+# entry in characteristic 2, where addition is xor (105-422), and 431 ns
+# in odd characteristic (222-714).  Rank checks, one rref per subset on every
 # field (layers of at most 20000 subsets, two draws of random codes):
 # 259-261 ns over prime fields (128-494), 342-386 ns over extension
 # fields (113-1118), 301-310 ns over both.
-_ENUM_NS_PRIME = 4.0
-_ENUM_NS_TABLE = 17.0
-_ENUM_NS_PYTHON = 800.0
+_ENUM_NS = {"prime": 3.5, "table": 20.0, "python": 1100.0}
+_BLOCK_NS = 60000.0
 _RANK_NS = 300.0
 _COLLISION_NS_CHAR2 = 210.0
 _COLLISION_NS_ODD = 430.0
@@ -170,9 +194,9 @@ class LinearCode:
         return LinearCode.from_rows(F, n, basis)
 
     def codewords(self):
-        """Iterate all codewords (messages in base-q counting order)."""
-        F = self.field
-        q = F.order
+        """Iterate all codewords (messages in base-q counting order: the
+        digit of row i has place value q^i)."""
+        q = self.field.order
         k = self.k
         for idx in range(q ** k):
             msg = []
@@ -180,12 +204,17 @@ class LinearCode:
             for _ in range(k):
                 msg.append(t % q)
                 t //= q
-            word = [0] * self.n
-            for coef, row in zip(msg, self.rows):
-                if coef:
-                    word = [F.add(w, F.mul(coef, r))
-                            for w, r in zip(word, row)]
-            yield tuple(word)
+            yield tuple(_combine(self.field, msg, self.rows, self.n))
+
+
+def _combine(F: Field, coefs: Sequence[int],
+             rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The combination of the rows with the given coefficients."""
+    word = [0] * n
+    for coef, row in zip(coefs, rows):
+        if coef:
+            word = [F.add(w, F.mul(coef, r)) for w, r in zip(word, row)]
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -205,45 +234,110 @@ def _enum_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
-def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
-    """Least weight over the q^k - 1 nonzero codewords, and the first
-    codeword of that weight in the order of ``LinearCode.codewords``."""
-    F = code.field
-    q = F.order
-    k, n = code.k, code.n
-    best_w, best = n + 1, None
-    if not F.is_prime and q > _NUMPY_TABLE_MAX:
-        for word in code.codewords():
-            w = sum(1 for v in word if v)
-            if 0 < w < best_w:
-                best_w, best = w, word
-                if w == 1:
-                    break
-        return best_w, best
-    total = q ** k
+def _enum_path(F: Field) -> str:
+    """Arithmetic of the enumeration kernel: "prime" (matrix products),
+    "table" (lookup tables) or "python" (field operations)."""
     if F.is_prime:
-        G = np.array(code.rows, dtype=np.int64)
-        use_float = k * (q - 1) * (q - 1) < (1 << 50)
-        Gf = G.astype(np.float64) if use_float else G
-    else:
+        return "prime"
+    return "table" if F.order <= _NUMPY_TABLE_MAX else "python"
+
+
+def _encode(F: Field, M: np.ndarray, G: Sequence[Sequence[int]]
+            ) -> np.ndarray:
+    """The codewords M G, one per message row of M (field indices, the
+    digit of row i of G in column i)."""
+    path = _enum_path(F)
+    if path == "prime":
+        q = F.order
+        if len(G) * (q - 1) * (q - 1) < 1 << 50:
+            # The products are integers below 2^50, exact in a float64.
+            # x / q is correctly rounded: exact when q divides x, and
+            # otherwise within a quarter of 1/q of x / q, which is at
+            # least 1/q from an integer; so the floor is exact.  It is
+            # several times faster than the float remainder x % q.
+            X = M.astype(np.float64) @ np.array(G, dtype=np.float64)
+            X -= q * np.floor(X / q)
+            return X
+        return (M.astype(np.int64) @ np.array(G, dtype=np.int64)) % q
+    if path == "table":
         add, mul = _enum_tables(F)
-        G = np.array(code.rows, dtype=np.uint8)
-    for lo in range(1, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        M = np.empty((hi - lo, k), dtype=np.int64 if F.is_prime else np.uint8)
-        for i in range(k):
-            M[:, i] = idx % q
-            idx //= q
-        if not F.is_prime:
-            C = np.zeros((hi - lo, n), dtype=np.uint8)
-            for i in range(k):
-                term = mul[M[:, i][:, None], G[i][None, :]]
-                C = add[C, term]
-        elif use_float:
-            C = (M.astype(np.float64) @ Gf) % q
-        else:
-            C = (M @ G) % q
+        Gt = np.array(G, dtype=np.uint8)
+        C = np.zeros((len(M), Gt.shape[1]), dtype=np.uint8)
+        for i, row in enumerate(Gt):
+            C = add[C, mul[M[:, i][:, None], row[None, :]]]
+        return C
+    return np.array([_combine(F, msg, G, len(G[0])) for msg in M.tolist()],
+                    dtype=np.int64)
+
+
+def _digits(idx: np.ndarray, base: int, k: int, dtype) -> np.ndarray:
+    """The k base-``base`` digits of each index, least significant
+    first."""
+    out = np.empty((len(idx), k), dtype=dtype)
+    for i in range(k):
+        out[:, i] = idx % base
+        idx = idx // base
+    return out
+
+
+def _chunk_and_dtype(F: Field) -> tuple[int, type]:
+    """Messages per block and the dtype of their digits."""
+    path = _enum_path(F)
+    if path == "python":
+        return _PY_CHUNK, np.int64
+    return _CHUNK, np.uint8 if path == "table" else np.int64
+
+
+def _projective_messages(F: Field, k: int):
+    """Blocks of the messages whose most significant nonzero digit is 1,
+    in increasing index order: the spans [q^t, 2 q^t) for t = 0..k-1,
+    (q^k - 1)/(q - 1) messages in all."""
+    q = F.order
+    chunk, dtype = _chunk_and_dtype(F)
+    # the span of q^t starts at position (q^t - 1)/(q - 1)
+    starts = np.array([(q ** t - 1) // (q - 1) for t in range(k + 1)])
+    for lo in range(0, starts[-1], chunk):
+        pos = np.arange(lo, min(lo + chunk, starts[-1]))
+        t = np.searchsorted(starts, pos, side="right") - 1
+        yield _digits(q ** t + pos - starts[t], q, k, dtype)
+
+
+def _weight_messages(F: Field, k: int, t: int):
+    """Blocks of the messages with exactly t nonzero digits, the most
+    significant of them 1: C(k, t) (q - 1)^(t - 1) messages in all."""
+    q = F.order
+    chunk, dtype = _chunk_and_dtype(F)
+    count = (q - 1) ** (t - 1)
+    flat = chain.from_iterable(combinations(range(k), t))
+    while True:
+        S = np.fromiter(islice(flat, t * max(1, chunk // count)),
+                        dtype=np.intp).reshape(-1, t)
+        if not len(S):
+            return
+        for lo in range(0, count, chunk):
+            coef = np.ones((min(chunk, count - lo), t), dtype=dtype)
+            coef[:, :-1] += _digits(np.arange(lo, lo + len(coef)), q - 1,
+                                    t - 1, dtype)
+            M = np.zeros((len(S) * len(coef), k), dtype=dtype)
+            rows = np.arange(len(M)).reshape(len(S), len(coef))
+            M[rows[:, :, None], S[:, None, :]] = coef[None, :, :]
+            yield M
+
+
+def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
+    """Least weight over the nonzero codewords, and the first codeword of
+    that weight in the order of ``LinearCode.codewords``.
+
+    Only the messages whose most significant nonzero digit is 1 are
+    encoded.  Every nonzero codeword is a multiple of exactly one of
+    them, and multiples have equal weight.  Of a word's multiples, the
+    one whose top digit is 1 has the lowest index, because 1 is the
+    least nonzero digit; so the first word of least weight in codeword
+    order is among those encoded."""
+    F = code.field
+    best_w, best = code.n + 1, None
+    for M in _projective_messages(F, code.k):
+        C = _encode(F, M, code.rows)
         w = np.count_nonzero(C, axis=1)
         i = int(w.argmin())
         if w[i] < best_w:
@@ -251,6 +345,131 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
             if best_w == 1:
                 break
     return best_w, best
+
+
+@lru_cache(maxsize=None)
+def _information_sets(code: LinearCode
+                      ) -> tuple[tuple[tuple[int, ...],
+                                       tuple[tuple[int, ...], ...]], ...]:
+    """Pairwise disjoint information sets, each with the generator matrix
+    that is systematic on it: (columns, rows) pairs in which rows[i] is 1
+    in columns[i] and 0 in the set's other columns.
+
+    The first set is the pivots of the code's own RREF.  Each next one
+    is the pivots of the RREF taken with the columns not yet used put
+    first, while those columns still have rank k.
+    """
+    F, n, k = code.field, code.n, code.k
+    found = [(code.pivots, code.rows)]
+    used = set(code.pivots)
+    while n - len(used) >= k:
+        order = [c for c in range(n) if c not in used] + sorted(used)
+        ech, _, piv = rref([[row[c] for c in order] for row in code.rows], F)
+        if piv[-1] >= n - len(used):
+            break
+        place = {c: i for i, c in enumerate(order)}
+        cols = tuple(order[p] for p in piv)
+        found.append((cols, tuple(tuple(row[place[c]] for c in range(n))
+                                  for row in ech)))
+        used.update(cols)
+    return tuple(found)
+
+
+def _min_weight_bz(code: LinearCode, sets) -> int:
+    """Least weight over the nonzero codewords, by enumeration over
+    pairwise disjoint information sets (Brouwer-Zimmermann: Zimmermann
+    1996; Grassl, "Searching for linear codes with large minimum
+    distance", 2006).
+
+    ``sets`` holds N generator matrices G_1..G_N systematic on pairwise
+    disjoint information sets I_1..I_N, so the codeword m G_j agrees with
+    the message m on I_j.  Level t encodes on G_1, ..., G_N in turn the
+    messages with exactly t nonzero digits, the most significant of them
+    1; any other message of weight t is a nonzero multiple of one of
+    these, and its codeword has the same weight.  Once level t is done on
+    G_1..G_j, every codeword not yet seen is m G_i with wt(m) > t for
+    i <= j and wt(m) > t - 1 for i > j: it has more than t nonzero
+    symbols on each of I_1..I_j and at least t on each of the others.
+    The sets are disjoint, so its weight is at least N t + j.  The search
+    stops as soon as the least weight seen is at most that floor, and
+    level k on G_1 alone covers every codeword.
+    """
+    F, k = code.field, code.k
+    N = len(sets)
+    best = code.n + 1
+    for t in range(1, k + 1):
+        for j, (_, G) in enumerate(sets, 1):
+            for M in _weight_messages(F, k, t):
+                C = _encode(F, M, G)
+                best = min(best, int(np.count_nonzero(C, axis=1).min()))
+            if best <= N * t + j or t == k:
+                return best
+    return best
+
+
+def _bz_work(q: int, k: int, N: int, cap: int) -> tuple[int, int]:
+    """(messages, steps) of the longest run of ``_min_weight_bz`` with N
+    information sets, given that the first set's rows include a codeword
+    of weight at most cap; a step is one level on one set."""
+    words = steps = 0
+    for t in range(1, k + 1):
+        level = comb(k, t) * (q - 1) ** (t - 1)
+        for j in range(1, N + 1):
+            words, steps = words + level, steps + 1
+            if N * t + j >= cap or t == k:
+                return words, steps
+    return words, steps
+
+
+def _distance_cap(code: LinearCode) -> int:
+    """An upper bound on the minimum distance: min(n - k + 1, least
+    weight of a generator row)."""
+    return min(code.n - code.k + 1,
+               min(sum(1 for v in row if v) for row in code.rows))
+
+
+def _enumeration_plan(code: LinearCode, limit: float = float("inf")
+                      ) -> tuple[float, tuple | None]:
+    """(estimated nanoseconds, information sets or None) of exact
+    enumeration on this code.
+
+    A projective pass encodes (q^k - 1)/(q - 1) messages.  The
+    Brouwer-Zimmermann search needs N >= 2 disjoint information sets, at
+    most n // k of them.  It runs when its worst-case message count
+    (``_bz_work``, with the cap of ``_distance_cap``) is below the
+    projective count and its estimated time is below the projective
+    pass's.  Each estimate charges k n units per message and a fixed
+    cost per block of messages after the first; the search's also
+    charges an elimination of k^2 n units per set.  The sets are only
+    looked for when the search's least estimate over N = 2..n // k is
+    below both the projective pass's and ``limit`` (the cost of another
+    kernel that would win anyway).
+    """
+    F = code.field
+    q, n, k = F.order, code.n, code.k
+    unit = k * n * _ENUM_NS[_enum_path(F)]
+    projective = (q ** k - 1) // (q - 1)
+    blocks = -(-projective // _chunk_and_dtype(F)[0])
+    plan = (projective * unit + (blocks - 1) * _BLOCK_NS, None)
+    cap = _distance_cap(code)
+
+    def search_ns(N: int) -> float:
+        words, steps = _bz_work(q, k, N, cap)
+        if words >= projective:
+            return float("inf")
+        return words * unit + (steps - 1) * _BLOCK_NS \
+            + N * k * k * n * _RANK_NS
+
+    beat = min(plan[0], limit)
+    if 2 * k * k * n * _RANK_NS >= beat:   # two eliminations cost more
+        return plan
+    least = min((search_ns(N) for N in range(2, n // k + 1)),
+                default=float("inf"))
+    if least < beat:
+        sets = _information_sets(code)
+        if len(sets) >= 2 and search_ns(len(sets)) < plan[0]:
+            plan = (search_ns(len(sets)), sets)
+    return plan
 
 
 def _rank_layer(F: Field, cols: list[tuple[int, ...]], w: int) -> bool:
@@ -446,14 +665,17 @@ def distance_strategy(code: LinearCode, *,
     "enumeration" or "parity".
 
     Enumeration is only a candidate when its q^k codewords fit
-    enum_budget.  The parity search stops at layer d, and d is at most
-    cap = min(n - k + 1, least weight of a generator row), since every
-    row is a codeword; it is only a candidate when its worst-case subset
-    count up to cap fits rank_budget, so it cannot run out of budget.
-    Its estimated time is the sum over the layers up to cap of the
-    cheaper of the layer's two searches (``_layer_costs``).  Between two
-    candidates the lower estimated time wins; with neither, the answer
-    is "parity", whose search then reports the exhausted budget.
+    enum_budget.  Its estimated time counts the messages it encodes:
+    (q^k - 1)/(q - 1) for a projective pass, or the worst case of the
+    information-set search where that runs (``_enumeration_plan``).  The
+    parity search stops at layer d, and d is at most cap = min(n - k +
+    1, least weight of a generator row), since every row is a codeword;
+    it is only a candidate when its worst-case subset count up to cap
+    fits rank_budget, so it cannot run out of budget.  Its estimated
+    time is the sum over the layers up to cap of the cheaper of the
+    layer's two searches (``_layer_costs``).  Between two candidates the
+    lower estimated time wins; with neither, the answer is "parity",
+    whose search then reports the exhausted budget.
     """
     if code.k == 0:
         raise ValueError("zero code has no minimum distance")
@@ -461,16 +683,11 @@ def distance_strategy(code: LinearCode, *,
     q, n, k = F.order, code.n, code.k
     if q ** k > enum_budget:
         return "parity"
-    cap = min(n - k + 1, min(sum(1 for v in row if v) for row in code.rows))
-    layers = range(1, cap + 1)
+    layers = range(1, _distance_cap(code) + 1)
     if sum(comb(n, w) for w in layers) > rank_budget:
         return "enumeration"
     parity_ns = sum(min(_layer_costs(F, n, k, w)) for w in layers)
-    if F.is_prime:
-        enum_ns = _ENUM_NS_PRIME
-    else:
-        enum_ns = _ENUM_NS_TABLE if q <= _NUMPY_TABLE_MAX else _ENUM_NS_PYTHON
-    if parity_ns < q ** k * k * n * enum_ns:
+    if parity_ns < _enumeration_plan(code, parity_ns)[0]:
         return "parity"
     return "enumeration"
 
@@ -481,7 +698,9 @@ def min_distance(code: LinearCode, *,
                  strategy: str = "auto") -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
-    Strategy "enumeration" enumerates all q^k codewords; "parity"
+    Strategy "enumeration" enumerates the codewords up to scalar
+    multiples, by a projective pass or by the search over disjoint
+    information sets, and needs q^k within enum_budget; "parity"
     searches for the smallest linearly dependent set of parity-check
     columns; "auto" runs the one ``distance_strategy`` picks, the cheaper
     by estimate among those within budget.  Weight counts nonzero
@@ -523,6 +742,9 @@ def _run_kernel(code: LinearCode, strategy: str, enum_budget: int,
         raise ResourceLimitError(
             f"instance too large: {q}^{code.k} codewords exceed the "
             f"enumeration budget {enum_budget}")
+    sets = _enumeration_plan(code)[1]
+    if sets:
+        return _min_weight_bz(code, sets)
     return _min_weight_enum(code)[0]
 
 
@@ -533,13 +755,20 @@ def min_weight_codeword(code: LinearCode, *,
     in the order of ``LinearCode.codewords``.
 
     Returns (weight, word).  Intended for small codes (recovery vectors);
-    enumeration beyond the budget is rejected.
+    enumeration beyond the budget is rejected.  Answers are cached per
+    code for the life of the process; the budget is checked first, so
+    errors are never cached.
     """
     if code.k == 0:
         raise ValueError("zero code has no minimum-weight codeword")
     if code.field.order ** code.k > enum_budget:
         raise ResourceLimitError(
             "instance too large for minimum-weight codeword enumeration")
+    return _first_min_weight_word(code)
+
+
+@lru_cache(maxsize=None)
+def _first_min_weight_word(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     return _min_weight_enum(code)
 
 

@@ -233,6 +233,10 @@ def test_distance_strategy_routes_by_cost():
     rows = [[F16.pow(a, e) for a in range(1, 16)] for e in range(5)]
     rs = LinearCode.from_rows(F16, 15, rows)
     assert distance_strategy(rs) == "enumeration"
+    # the enumeration is the search over its three disjoint information
+    # sets; a short code keeps the single projective pass
+    assert len(codes._enumeration_plan(rs)[1]) == 3
+    assert codes._enumeration_plan(zero_sum_code(F5, 11))[1] is None
 
 
 def test_min_distance_auto_enumerates_when_parity_exceeds_rank_budget():
@@ -285,11 +289,61 @@ def test_min_weight_codeword_is_first_in_codeword_order(rng):
         code = random_code(rng, field, n, 5)
         if code.k > 0:
             assert min_weight_codeword(code) == scan_min_weight(code)
-    # above the lookup-table size the scan itself runs
+    # q >= 3 with more least-weight words than one word's q - 1 multiples:
+    # the projective pass skips most of them and must still return the
+    # first in codeword order
+    tied = 0
+    for _ in range(80):
+        field = rng.choice([F3, F4, F5, make_field(7), make_field(8),
+                            make_field(9)])
+        code = random_code(rng, field, rng.randint(3, 8), 4)
+        if code.k == 0 or field.order ** code.k > 1 << 12:
+            continue
+        w, word = scan_min_weight(code)
+        lightest = sum(1 for c in code.codewords()
+                       if sum(1 for v in c if v) == w)
+        tied += lightest > field.order - 1
+        assert min_weight_codeword(code) == (w, word)
+    assert tied >= 20
+    # above the lookup-table size the pure-Python path runs
     F128 = make_field(128)
     rows = [[rng.randrange(1, 128) for _ in range(4)] for _ in range(2)]
     code = LinearCode.from_rows(F128, 4, rows)
     assert min_weight_codeword(code) == scan_min_weight(code)
+
+
+@pytest.mark.parametrize("block", [1 << 8, 3])
+def test_pure_python_path_walks_projective_spans(rng, monkeypatch, block):
+    # F_81 is above the lookup-table size: messages are encoded by field
+    # operations, in blocks of _PY_CHUNK
+    monkeypatch.setattr(codes, "_PY_CHUNK", block)
+    F81 = make_field(81)
+    assert codes._enum_path(F81) == "python"
+    encoded = counting(monkeypatch, "_encode")
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        rows = [[rng.randrange(81) for _ in range(n)] for _ in range(2)]
+        code = LinearCode.from_rows(F81, n, rows)
+        assert min_weight_codeword(code) == scan_min_weight(code)
+    # at most (81^2 - 1)/80 = 82 messages per code, not 81^2
+    assert 0 < sum(len(M) for _, M, _ in encoded) <= 6 * 82
+
+
+def test_min_weight_codeword_memoized_per_code(monkeypatch):
+    code = cyclic_code(Poly(F2, [1, 1, 1, 0, 1]), 7).linear_code()
+    enum = counting(monkeypatch, "_min_weight_enum")
+    same = LinearCode.from_rows(F2, 7, reversed(code.rows))
+    assert min_weight_codeword(code) == min_weight_codeword(same)
+    assert len(enum) == 1
+    # the budget gate comes first, so errors are never cached
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            min_weight_codeword(code, enum_budget=7)
+    assert min_weight_codeword(code, enum_budget=8)[0] == 4
+    assert len(enum) == 1
+    # a named strategy still runs its kernel
+    assert min_distance(code, strategy="enumeration") == 4
+    assert len(enum) == 2
 
 
 def test_enum_tables_held_on_field():
@@ -354,6 +408,81 @@ def test_parity_layers_agree_with_enumeration(rng, monkeypatch, choice):
         assert min_distance(code, strategy="parity") == d
         seen.add((field.char == 2, d % 2))
     assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+def information_set_search(code):
+    return (0.0, codes._information_sets(code))
+
+
+def projective_pass(code):
+    return (0.0, None)
+
+
+@pytest.mark.parametrize("block", [1 << 18, 5])
+def test_enumeration_kernels_agree_with_parity(rng, monkeypatch, block):
+    # each code runs the Brouwer-Zimmermann search and the projective
+    # pass, forced through _enumeration_plan, and the parity search; a
+    # block of 5 messages splits every level and span into several
+    monkeypatch.setattr(codes, "_CHUNK", block)
+    fields = [make_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)]
+    searches = counting(monkeypatch, "_min_weight_bz")
+    passes = counting(monkeypatch, "_min_weight_enum")
+    runs, sets_seen = 0, set()
+    for _ in range(120):
+        field = rng.choice(fields)
+        n = rng.randint(3, 10)
+        code = random_code(rng, field, n, 4)
+        if code.k in (0, n) or field.order ** code.k > 1 << 12:
+            continue
+        d = min_distance(code, strategy="parity")
+        for plan in (information_set_search, projective_pass):
+            monkeypatch.setattr(codes, "_enumeration_plan", plan)
+            assert min_distance(code, strategy="enumeration") == d
+        runs += 1
+        sets_seen.add(len(codes._information_sets(code)))
+    assert len(searches) == len(passes) == runs
+    assert {1, 2, 3} <= sets_seen
+
+
+def test_information_sets_are_disjoint_and_systematic(rng):
+    for _ in range(60):
+        field = rng.choice([F2, F3, F4, F5, make_field(9), make_field(16)])
+        n = rng.randint(2, 14)
+        code = random_code(rng, field, n, 4)
+        if code.k == 0:
+            continue
+        sets = codes._information_sets(code)
+        assert sets[0] == (code.pivots, code.rows)
+        used = [c for cols, _ in sets for c in cols]
+        assert len(used) == len(set(used)) == len(sets) * code.k
+        for cols, rows in sets:
+            assert LinearCode.from_rows(field, n, rows) == code
+            assert rref([[row[c] for c in cols] for row in code.rows],
+                        field)[1] == code.k
+            assert [[row[c] for c in cols] for row in rows] == \
+                [[int(i == j) for j in range(code.k)] for i in range(code.k)]
+        # greedy: the columns left over have rank below k
+        rest = [c for c in range(n) if c not in used]
+        assert rref([[row[c] for c in rest] for row in code.rows],
+                    field)[1] < code.k
+
+
+def test_enumeration_budget_boundary():
+    # q^k = enum_budget enumerates; q^k = enum_budget + 1 raises, on the
+    # projective pass and on the information-set search alike
+    F16 = make_field(16)
+    rs = LinearCode.from_rows(
+        F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(5)])
+    assert codes._enumeration_plan(rs)[1] is not None
+    for code, d in ((rs, 11), (zero_sum_code(F3, 7), 2)):
+        size = code.field.order ** code.k
+        assert min_distance(code, strategy="enumeration",
+                            enum_budget=size) == d
+        with pytest.raises(ResourceLimitError, match="enumeration budget"):
+            min_distance(code, strategy="enumeration", enum_budget=size - 1)
+        assert min_weight_codeword(code, enum_budget=size)[0] == d
+        with pytest.raises(ResourceLimitError):
+            min_weight_codeword(code, enum_budget=size - 1)
 
 
 def cyclic_rows_from_octal(text, n):
