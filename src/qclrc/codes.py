@@ -255,8 +255,11 @@ def _encode(F: Field, M: np.ndarray, G: Sequence[Sequence[int]]
             # otherwise within a quarter of 1/q of x / q, which is at
             # least 1/q from an integer; so the floor is exact.  It is
             # several times faster than the float remainder x % q.
-            X = M.astype(np.float64) @ np.array(G, dtype=np.float64)
-            X -= q * np.floor(X / q)
+            X = M @ np.array(G, dtype=np.float64)
+            T = np.divide(X, q)
+            np.floor(T, out=T)
+            T *= q
+            X -= T
             return X
         return (M.astype(np.int64) @ np.array(G, dtype=np.int64)) % q
     if path == "table":
@@ -281,11 +284,12 @@ def _digits(idx: np.ndarray, base: int, k: int, dtype) -> np.ndarray:
 
 
 def _chunk_and_dtype(F: Field) -> tuple[int, type]:
-    """Messages per block and the dtype of their digits."""
+    """Messages per block and the dtype of their digits (float64 over
+    prime fields, the operand of the matrix product)."""
     path = _enum_path(F)
     if path == "python":
         return _PY_CHUNK, np.int64
-    return _CHUNK, np.uint8 if path == "table" else np.int64
+    return _CHUNK, np.uint8 if path == "table" else np.float64
 
 
 def _projective_messages(F: Field, k: int):
