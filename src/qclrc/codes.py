@@ -465,14 +465,15 @@ def _enumeration_plan(code: LinearCode, limit: float = float("inf")
             + N * k * k * n * _RANK_NS
 
     beat = min(plan[0], limit)
-    if 2 * k * k * n * _RANK_NS >= beat:   # two eliminations cost more
+    if 2 * k * k * n * _RANK_NS >= beat:   # below any search estimate
         return plan
     least = min((search_ns(N) for N in range(2, n // k + 1)),
                 default=float("inf"))
     if least < beat:
         sets = _information_sets(code)
-        if len(sets) >= 2 and search_ns(len(sets)) < plan[0]:
-            plan = (search_ns(len(sets)), sets)
+        ns = search_ns(len(sets))
+        if len(sets) >= 2 and ns < plan[0]:
+            plan = (ns, sets)
     return plan
 
 
