@@ -295,15 +295,20 @@ def _chunk_and_dtype(F: Field) -> tuple[int, type]:
 def _projective_messages(F: Field, k: int):
     """Blocks of the messages whose most significant nonzero digit is 1,
     in increasing index order: the spans [q^t, 2 q^t) for t = 0..k-1,
-    (q^k - 1)/(q - 1) messages in all."""
+    (q^k - 1)/(q - 1) messages in all.  A block may join several spans,
+    so a short code is one block."""
     q = F.order
     chunk, dtype = _chunk_and_dtype(F)
-    # the span of q^t starts at position (q^t - 1)/(q - 1)
-    starts = np.array([(q ** t - 1) // (q - 1) for t in range(k + 1)])
-    for lo in range(0, starts[-1], chunk):
-        pos = np.arange(lo, min(lo + chunk, starts[-1]))
-        t = np.searchsorted(starts, pos, side="right") - 1
-        yield _digits(q ** t + pos - starts[t], q, k, dtype)
+    block, size = [], 0
+    for t in range(k):
+        lo, end = q ** t, 2 * q ** t
+        while lo < end:
+            hi = min(end, lo + chunk - size)
+            block.append(np.arange(lo, hi))
+            size, lo = size + hi - lo, hi
+            if size == chunk or (t == k - 1 and lo == end):
+                yield _digits(np.concatenate(block), q, k, dtype)
+                block, size = [], 0
 
 
 def _weight_messages(F: Field, k: int, t: int):
