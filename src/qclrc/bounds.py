@@ -31,14 +31,8 @@ from itertools import permutations, product
 from math import ceil
 from typing import Mapping, Sequence
 
-from .codes import (
-    ENUM_BUDGET_DEFAULT,
-    RANK_BUDGET_DEFAULT,
-    min_distance,
-    min_weight_codeword,
-    subcode_distance,
-    subcode_from_bz,
-)
+from .codes import (Budget, min_distance, min_weight_codeword,
+                    subcode_distance, subcode_from_bz)
 from .errors import InternalConsistencyError
 from .qc import (
     MAX_SUBSET_FACTORS,
@@ -66,8 +60,7 @@ def singleton_bound(n: int, k: int, r: int) -> int:
 
 
 def locality_upper(dec: ConstituentDecomposition, *,
-                   enum_budget: int = ENUM_BUDGET_DEFAULT,
-                   rank_budget: int = RANK_BUDGET_DEFAULT) -> int:
+                   budget: Budget = Budget()) -> int:
     """Upper bound on the locality, derived from the dual of the
     associated cyclic code over all nonzero constituents.
 
@@ -83,8 +76,7 @@ def locality_upper(dec: ConstituentDecomposition, *,
     dual = subcode_from_bz(nz, dec.fact).dual()
     if dual.k == 0:
         return m - 1
-    d_dual = min_distance(dual.linear_code(), enum_budget=enum_budget,
-                          rank_budget=rank_budget)
+    d_dual = min_distance(dual.linear_code(), budget=budget)
     return min(d_dual - 1, m - 1)
 
 
@@ -142,8 +134,7 @@ class GoBound:
 
 
 def _range_ddist(dec: ConstituentDecomposition, order: tuple[int, ...],
-                 enum_budget: int,
-                 rank_budget: int) -> dict[frozenset[int], int]:
+                 budget: Budget) -> dict[frozenset[int], int]:
     fact = dec.fact
     ddist: dict[frozenset[int], int] = {}
     h = len(order)
@@ -151,17 +142,15 @@ def _range_ddist(dec: ConstituentDecomposition, order: tuple[int, ...],
         for end in range(start + 1, h + 1):
             s = frozenset(order[start:end])
             if s not in ddist:
-                ddist[s] = subcode_distance(
-                    fact, s, enum_budget=enum_budget,
-                    rank_budget=rank_budget)
+                ddist[s] = subcode_distance(fact, s, budget=budget)
     return ddist
 
 
 def _suffix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
-                  cdist: dict[int, int], enum_budget: int, rank_budget: int
+                  cdist: dict[int, int], budget: Budget
                   ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Telescoped bound terms for every suffix of the ordering."""
-    ddist = _range_ddist(dec, order, enum_budget, rank_budget)
+    ddist = _range_ddist(dec, order, budget)
     h = len(order)
     out = []
     for t in range(1, h + 1):
@@ -171,7 +160,7 @@ def _suffix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
 
 
 def _prefix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
-                  cdist: dict[int, int], enum_budget: int, rank_budget: int
+                  cdist: dict[int, int], budget: Budget
                   ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Prefix-product bound terms: last constituent distance of the
     prefix times the prefix set's subcode distance."""
@@ -179,17 +168,15 @@ def _prefix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
     out = []
     for c in range(1, len(order) + 1):
         s = tuple(sorted(order[:c]))
-        d_s = subcode_distance(fact, s, enum_budget=enum_budget,
-                               rank_budget=rank_budget)
+        d_s = subcode_distance(fact, s, budget=budget)
         out.append((s, cdist[order[c - 1]] * d_s))
     return tuple(out)
 
 
 def _tie_consistent_orderings(dec: ConstituentDecomposition,
-                              cdist: dict[int, int], enum_budget: int,
-                              rank_budget: int) -> list[tuple[int, ...]]:
-    canonical = distance_sorted_order(dec, enum_budget=enum_budget,
-                                      rank_budget=rank_budget)
+                              cdist: dict[int, int], budget: Budget
+                              ) -> list[tuple[int, ...]]:
+    canonical = distance_sorted_order(dec, budget=budget)
     groups: list[list[int]] = []
     for i in canonical:
         if groups and cdist[groups[-1][0]] == cdist[i]:
@@ -205,10 +192,10 @@ def _tie_consistent_orderings(dec: ConstituentDecomposition,
 def _best_over_orders(dec: ConstituentDecomposition,
                       orders: Sequence[tuple[int, ...]], term_func,
                       certificate: str, cdist: dict[int, int],
-                      enum_budget: int, rank_budget: int) -> GoBound:
+                      budget: Budget) -> GoBound:
     best: GoBound | None = None
     for order in orders:
-        terms = term_func(dec, order, cdist, enum_budget, rank_budget)
+        terms = term_func(dec, order, cdist, budget)
         value = min(v for _, v in terms)
         if best is None or value > best.value or \
                 (value == best.value and order < best.order):
@@ -218,8 +205,7 @@ def _best_over_orders(dec: ConstituentDecomposition,
 
 
 def go_bound(dec: ConstituentDecomposition, *,
-             enum_budget: int = ENUM_BUDGET_DEFAULT,
-             rank_budget: int = RANK_BUDGET_DEFAULT) -> GoBound:
+             budget: Budget = Budget()) -> GoBound:
     """The telescoped distance lower bound, minimized over suffix sets.
 
     Constituents tied on distance admit several valid orderings; all
@@ -236,18 +222,14 @@ def go_bound(dec: ConstituentDecomposition, *,
     nz = dec.nonzero_indices()
     if not nz:
         raise ValueError("zero code has no distance bound")
-    cdist = {i: dec.constituent_distance(i, enum_budget=enum_budget,
-                                         rank_budget=rank_budget)
-             for i in nz}
-    orderings = _tie_consistent_orderings(dec, cdist, enum_budget,
-                                          rank_budget)
+    cdist = {i: dec.constituent_distance(i, budget=budget) for i in nz}
+    orderings = _tie_consistent_orderings(dec, cdist, budget)
     return _best_over_orders(dec, orderings, _suffix_terms, CERT_TELESCOPE,
-                             cdist, enum_budget, rank_budget)
+                             cdist, budget)
 
 
 def prefix_bound(dec: ConstituentDecomposition, *,
-                 enum_budget: int = ENUM_BUDGET_DEFAULT,
-                 rank_budget: int = RANK_BUDGET_DEFAULT) -> GoBound:
+                 budget: Budget = Budget()) -> GoBound:
     """Provable distance floor from prefix products.
 
     For a fixed ordering of the nonzero constituents, any codeword
@@ -262,16 +244,13 @@ def prefix_bound(dec: ConstituentDecomposition, *,
     nz = dec.nonzero_indices()
     if not nz:
         raise ValueError("zero code has no distance bound")
-    cdist = {i: dec.constituent_distance(i, enum_budget=enum_budget,
-                                         rank_budget=rank_budget)
-             for i in nz}
+    cdist = {i: dec.constituent_distance(i, budget=budget) for i in nz}
     if len(nz) <= MAX_SUBSET_FACTORS:
         orders = [tuple(p) for p in permutations(sorted(nz))]
     else:
-        orders = _tie_consistent_orderings(dec, cdist, enum_budget,
-                                           rank_budget)
+        orders = _tie_consistent_orderings(dec, cdist, budget)
     return _best_over_orders(dec, orders, _prefix_terms, CERT_PREFIX,
-                             cdist, enum_budget, rank_budget)
+                             cdist, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +296,7 @@ class BoundsReport:
 
 
 def full_report(dec: ConstituentDecomposition, *,
-                enum_budget: int = ENUM_BUDGET_DEFAULT,
-                rank_budget: int = RANK_BUDGET_DEFAULT) -> BoundsReport:
+                budget: Budget = Budget()) -> BoundsReport:
     """Both bounds, the subset distance table, and the status.
 
     Positions in the report follow the order certified by the lower
@@ -328,19 +306,13 @@ def full_report(dec: ConstituentDecomposition, *,
     if k == 0:
         raise ValueError("zero code has no bounds report")
     n = dec.n
-    go = go_bound(dec, enum_budget=enum_budget, rank_budget=rank_budget)
-    r_up = locality_upper(dec, enum_budget=enum_budget,
-                          rank_budget=rank_budget)
+    go = go_bound(dec, budget=budget)
+    r_up = locality_upper(dec, budget=budget)
     d_s = singleton_bound(n, k, r_up)
-    assoc = associated_cyclic_codes(dec, order=go.order,
-                                    enum_budget=enum_budget,
-                                    rank_budget=rank_budget)
-    subdist = tuple(
-        (s, assoc.distance(s, enum_budget=enum_budget,
-                           rank_budget=rank_budget))
-        for s in assoc.subsets)
-    cdist = tuple(dec.constituent_distance(i, enum_budget=enum_budget,
-                                           rank_budget=rank_budget)
+    assoc = associated_cyclic_codes(dec, order=go.order, budget=budget)
+    subdist = tuple((s, assoc.distance(s, budget=budget))
+                    for s in assoc.subsets)
+    cdist = tuple(dec.constituent_distance(i, budget=budget)
                   for i in go.order)
     pos_of = {f: p for p, f in enumerate(go.order, 1)}
     terms = tuple((tuple(sorted(pos_of[f] for f in s)), v)
@@ -371,7 +343,7 @@ class RecoveryTrial:
 
 def recover_symbol(dec: ConstituentDecomposition,
                    array: Sequence[Sequence[int]], coordinate: int, *,
-                   enum_budget: int = ENUM_BUDGET_DEFAULT
+                   budget: Budget = Budget()
                    ) -> tuple[int, tuple[int, ...]]:
     """Recover one flat coordinate of a codeword array from its column.
 
@@ -392,7 +364,7 @@ def recover_symbol(dec: ConstituentDecomposition,
         raise ValueError(
             "recovery undefined: the associated cyclic code fills the whole "
             "space, so its dual is zero")
-    _, h = min_weight_codeword(dual.linear_code(), enum_budget=enum_budget)
+    _, h = min_weight_codeword(dual.linear_code(), budget=budget)
     g = coordinate % m
     j = coordinate // m
     s = next(t for t in range(m) if h[t] != 0)

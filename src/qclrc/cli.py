@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .algebra import factor_unity, make_field
 from .bounds import BoundsReport, full_report
-from .codes import distance_strategy, min_distance
+from .codes import Budget, distance_strategy, min_distance
 from .construct import FamilySpec, extend_constituent, scan
 from .errors import (ConstructionError, InternalConsistencyError,
                      ResourceLimitError)
@@ -45,10 +45,10 @@ def _order_arg(text: str) -> int:
     return int(got.group(1)) ** (int(got.group(2)) if got.group(2) else 1)
 
 
-def _budgets(args: argparse.Namespace) -> dict:
+def _budget(args: argparse.Namespace) -> Budget:
     if args.budget is None:
-        return {}
-    return {"enum_budget": args.budget, "rank_budget": args.budget}
+        return Budget()
+    return Budget(args.budget, args.budget)
 
 
 def _read(path: str) -> str:
@@ -131,7 +131,7 @@ def _report_lines(doc: Doc) -> list[str]:
 
 def _run_analyze(args: argparse.Namespace) -> tuple[Doc, list[str]]:
     dec = to_decomposition(parse(_read(args.specfile)))
-    rep = full_report(dec, **_budgets(args))
+    rep = full_report(dec, budget=_budget(args))
     doc = {"command": "analyze", **_report_doc(rep)}
     return doc, _report_lines(doc)
 
@@ -166,19 +166,19 @@ def _scan_lines(doc: Doc) -> list[str]:
 
 def _run_scan(args: argparse.Namespace) -> tuple[Doc, list[str]]:
     dec = to_decomposition(parse(_read(args.specfile)))
-    budgets = _budgets(args)
+    budget = _budget(args)
     spec = FamilySpec.from_base(dec, j_max=args.jmax,
-                                database=_load_database(args), **budgets)
+                                database=_load_database(args), budget=budget)
     doc = {"command": "scan", "jmax": args.jmax,
-           **_scan_doc(scan(spec, **budgets))}
+           **_scan_doc(scan(spec, budget=budget))}
     return doc, _scan_lines(doc)
 
 
 # -- reproduce ------------------------------------------------------------------
 
 
-def _checks_4_1(budgets: dict) -> list[tuple[str, object, object]]:
-    rep = full_report(reference_case("4.1"), **budgets)
+def _checks_4_1(budget: Budget) -> list[tuple[str, object, object]]:
+    rep = full_report(reference_case("4.1"), budget=budget)
     ddist = {tuple(s): d for s, d in rep.subcode_distances}
     return [
         ("k", 15, rep.k),
@@ -192,9 +192,10 @@ def _checks_4_1(budgets: dict) -> list[tuple[str, object, object]]:
     ]
 
 
-def _checks_4_4(budgets: dict) -> list[tuple[str, object, object]]:
-    spec = FamilySpec.from_base(reference_case("4.4"), j_max=10, **budgets)
-    report = scan(spec, **budgets)
+def _checks_4_4(budget: Budget) -> list[tuple[str, object, object]]:
+    spec = FamilySpec.from_base(reference_case("4.4"), j_max=10,
+                                budget=budget)
+    report = scan(spec, budget=budget)
     checks: list[tuple[str, object, object]] = [
         ("d_GO", 4, spec.d_go),
         ("chain condition", False, report.chain),
@@ -207,9 +208,9 @@ def _checks_4_4(budgets: dict) -> list[tuple[str, object, object]]:
     return checks
 
 
-def _checks_4_6(budgets: dict) -> list[tuple[str, object, object]]:
+def _checks_4_6(budget: Budget) -> list[tuple[str, object, object]]:
     dec = reference_case("4.6")
-    rep = full_report(dec, **budgets)
+    rep = full_report(dec, budget=budget)
     ddist = {tuple(s): d for s, d in rep.subcode_distances}
     terms = {tuple(s): v for s, v in rep.terms}
     checks: list[tuple[str, object, object]] = [
@@ -226,8 +227,8 @@ def _checks_4_6(budgets: dict) -> list[tuple[str, object, object]]:
         checks.append((f"R_{_set_text(positions)}", want,
                        terms.get(positions)))
     checks.append(("d_GO", 10, rep.d_go))
-    spec = FamilySpec.from_base(dec, j_max=22, **budgets)
-    report = scan(spec, **budgets)
+    spec = FamilySpec.from_base(dec, j_max=22, budget=budget)
+    report = scan(spec, budget=budget)
     checks.append(("j_0", 14, report.j0))
     at_j0 = {row.j: row for row in report.rows}.get(14)
     checks.append(("n at j=14", 231, at_j0.n if at_j0 else None))
@@ -243,7 +244,7 @@ _CHECKS = {"4.1": _checks_4_1, "4.4": _checks_4_4, "4.6": _checks_4_6}
 
 
 def _run_reproduce(args: argparse.Namespace) -> tuple[Doc, list[str]]:
-    checks = _CHECKS[args.case_id](_budgets(args))
+    checks = _CHECKS[args.case_id](_budget(args))
     rows = [{"name": name, "expected": want, "got": got, "ok": want == got}
             for name, want, got in checks]
     ok = all(r["ok"] for r in rows)
@@ -270,10 +271,10 @@ def _run_extend(args: argparse.Namespace) -> tuple[Doc, list[str]]:
     code = to_code(parse_matrix(_read(args.matrixfile)))
     if code.is_zero():
         raise ValueError("the matrix file spans the zero code")
-    budgets = _budgets(args)
+    budget = _budget(args)
     ext = extend_constituent(code, args.j, database=_load_database(args),
-                             **budgets)
-    d = min_distance(code, **budgets)
+                             budget=budget)
+    d = min_distance(code, budget=budget)
     doc = {"command": "extend", "j": args.j, "q": ext.field.order,
            "n": ext.n, "k": ext.k, "d": d,
            "rows": [list(row) for row in ext.rows]}
@@ -287,10 +288,11 @@ def _run_extend(args: argparse.Namespace) -> tuple[Doc, list[str]]:
 
 def _run_mindist(args: argparse.Namespace) -> tuple[Doc, list[str]]:
     code = to_code(parse_matrix(_read(args.matrixfile)))
-    budgets = _budgets(args)
-    d = min_distance(code, **budgets)
+    budget = _budget(args)
+    d = min_distance(code, budget=budget)
     doc = {"command": "mindist", "q": code.field.order, "n": code.n,
-           "k": code.k, "d": d, "method": distance_strategy(code, **budgets)}
+           "k": code.k, "d": d,
+           "method": distance_strategy(code, budget=budget)}
     return doc, [f"[{doc['n']}, {doc['k']}, {doc['d']}] over F_{doc['q']}"]
 
 

@@ -39,15 +39,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import Factorization, Field, Poly
 from .errors import InternalConsistencyError, ResourceLimitError
 
-ENUM_BUDGET_DEFAULT = 1 << 24
-RANK_BUDGET_DEFAULT = 10 ** 7
+
+class Budget(NamedTuple):
+    """Caps on exact distance work: ``enum`` on the q^k codewords of an
+    enumeration, ``rank`` on the parity search's subset-rank checks."""
+
+    enum: int = 1 << 24
+    rank: int = 10 ** 7
+
+
+ENUM_BUDGET_DEFAULT, RANK_BUDGET_DEFAULT = Budget()
 
 # numpy enumeration uses lookup tables up to this field order
 _NUMPY_TABLE_MAX = 64
@@ -630,7 +638,7 @@ def _layer_costs(F: Field, n: int, k: int, w: int) -> tuple[float, float]:
     return collision, rank
 
 
-def _min_weight_parity(code: LinearCode, rank_budget: int) -> int:
+def _min_weight_parity(code: LinearCode, budget: Budget) -> int:
     """Smallest w such that some w parity-check columns are dependent.
 
     Layers run in increasing w, each by collision of half-supports or by
@@ -649,10 +657,10 @@ def _min_weight_parity(code: LinearCode, rank_budget: int) -> int:
     checked = 0
     for w in range(1, rho + 2):
         checked += comb(n, w)
-        if checked > rank_budget:
+        if checked > budget.rank:
             raise ResourceLimitError(
                 f"instance too large: parity-check search needs up to "
-                f"{checked} subset-rank checks, budget is {rank_budget}")
+                f"{checked} subset-rank checks, budget is {budget.rank}")
         collision_ns, rank_ns = _layer_costs(F, n, k, w)
         if collision_ns < rank_ns:
             count = 1 if w == 1 else F.order - 1
@@ -668,20 +676,19 @@ def _min_weight_parity(code: LinearCode, rank_budget: int) -> int:
         "no dependent column set of size redundancy+1 exists")
 
 
-def distance_strategy(code: LinearCode, *,
-                      enum_budget: int = ENUM_BUDGET_DEFAULT,
-                      rank_budget: int = RANK_BUDGET_DEFAULT) -> str:
+def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
+                      ) -> str:
     """The kernel min_distance(strategy="auto") runs on this code:
     "enumeration" or "parity".
 
     Enumeration is only a candidate when its q^k codewords fit
-    enum_budget.  Its estimated time counts the messages it encodes:
+    budget.enum.  Its estimated time counts the messages it encodes:
     (q^k - 1)/(q - 1) for a projective pass, or the worst case of the
     information-set search where that runs (``_enumeration_plan``).  The
     parity search stops at layer d, and d is at most cap = min(n - k +
     1, least weight of a generator row), since every row is a codeword;
     it is only a candidate when its worst-case subset count up to cap
-    fits rank_budget, so it cannot run out of budget.  Its estimated
+    fits budget.rank, so it cannot run out of budget.  Its estimated
     time is the sum over the layers up to cap of the cheaper of the
     layer's two searches (``_layer_costs``).  Between two candidates the
     lower estimated time wins; with neither, the answer is "parity",
@@ -691,10 +698,10 @@ def distance_strategy(code: LinearCode, *,
         raise ValueError("zero code has no minimum distance")
     F = code.field
     q, n, k = F.order, code.n, code.k
-    if q ** k > enum_budget:
+    if q ** k > budget.enum:
         return "parity"
     layers = range(1, _distance_cap(code) + 1)
-    if sum(comb(n, w) for w in layers) > rank_budget:
+    if sum(comb(n, w) for w in layers) > budget.rank:
         return "enumeration"
     parity_ns = sum(min(_layer_costs(F, n, k, w)) for w in layers)
     if parity_ns < _enumeration_plan(code, parity_ns)[0]:
@@ -702,15 +709,13 @@ def distance_strategy(code: LinearCode, *,
     return "enumeration"
 
 
-def min_distance(code: LinearCode, *,
-                 enum_budget: int = ENUM_BUDGET_DEFAULT,
-                 rank_budget: int = RANK_BUDGET_DEFAULT,
+def min_distance(code: LinearCode, *, budget: Budget = Budget(),
                  strategy: str = "auto") -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
     Strategy "enumeration" enumerates the codewords up to scalar
     multiples, by a projective pass or by the search over disjoint
-    information sets, and needs q^k within enum_budget; "parity"
+    information sets, and needs q^k within budget.enum; "parity"
     searches for the smallest linearly dependent set of parity-check
     columns; "auto" runs the one ``distance_strategy`` picks, the cheaper
     by estimate among those within budget.  Weight counts nonzero
@@ -719,10 +724,10 @@ def min_distance(code: LinearCode, *,
     wrong answer.
 
     Answers of strategy "auto" are cached for the life of the process,
-    keyed by (code, enum_budget, rank_budget); the code is its RREF
-    generator matrix, so equal codes share an entry.  Exceptions are not
-    cached, so a call raises exactly where a first call with the same
-    budgets would.  A named strategy always runs its kernel.
+    keyed by (code, budget); the code is its RREF generator matrix, so
+    equal codes share an entry.  Exceptions are not cached, so a call
+    raises exactly where a first call with the same budget would.  A
+    named strategy always runs its kernel.
     """
     if strategy not in ("auto", "enumeration", "parity"):
         raise ValueError(f"unknown strategy: {strategy!r}")
@@ -731,49 +736,45 @@ def min_distance(code: LinearCode, *,
     if code.k == code.n:
         return 1
     if strategy == "auto":
-        return _auto_distance(code, enum_budget, rank_budget)
-    return _run_kernel(code, strategy, enum_budget, rank_budget)
+        return _auto_distance(code, budget)
+    return _run_kernel(code, strategy, budget)
 
 
 @lru_cache(maxsize=None)
-def _auto_distance(code: LinearCode, enum_budget: int,
-                   rank_budget: int) -> int:
-    strategy = distance_strategy(code, enum_budget=enum_budget,
-                                 rank_budget=rank_budget)
-    return _run_kernel(code, strategy, enum_budget, rank_budget)
+def _auto_distance(code: LinearCode, budget: Budget) -> int:
+    return _run_kernel(code, distance_strategy(code, budget=budget), budget)
 
 
-def _run_kernel(code: LinearCode, strategy: str, enum_budget: int,
-                rank_budget: int) -> int:
-    if strategy == "parity":
-        return _min_weight_parity(code, rank_budget)
-    q = code.field.order
-    if q ** code.k > enum_budget:
+def _check_enumeration(code: LinearCode, budget: Budget) -> None:
+    """Raise ResourceLimitError unless q^k fits the enumeration budget."""
+    if code.field.order ** code.k > budget.enum:
         raise ResourceLimitError(
-            f"instance too large: {q}^{code.k} codewords exceed the "
-            f"enumeration budget {enum_budget}")
+            f"instance too large: {code.field.order}^{code.k} codewords "
+            f"exceed the enumeration budget {budget.enum}")
+
+
+def _run_kernel(code: LinearCode, strategy: str, budget: Budget) -> int:
+    if strategy == "parity":
+        return _min_weight_parity(code, budget)
+    _check_enumeration(code, budget)
     sets = _enumeration_plan(code)[1]
     if sets:
         return _min_weight_bz(code, sets)
     return _min_weight_enum(code)[0]
 
 
-def min_weight_codeword(code: LinearCode, *,
-                        enum_budget: int = ENUM_BUDGET_DEFAULT
+def min_weight_codeword(code: LinearCode, *, budget: Budget = Budget()
                         ) -> tuple[int, tuple[int, ...]]:
     """A codeword of minimum weight, found by enumeration: the first one
     in the order of ``LinearCode.codewords``.
 
-    Returns (weight, word).  Intended for small codes (recovery vectors);
-    enumeration beyond the budget is rejected.  Answers are cached per
-    code for the life of the process; the budget is checked first, so
-    errors are never cached.
+    Returns (weight, word), for small codes (recovery vectors).  Answers
+    are cached per code for the life of the process; q^k beyond
+    budget.enum is rejected before the cache, so errors are never cached.
     """
     if code.k == 0:
         raise ValueError("zero code has no minimum-weight codeword")
-    if code.field.order ** code.k > enum_budget:
-        raise ResourceLimitError(
-            "instance too large for minimum-weight codeword enumeration")
+    _check_enumeration(code, budget)
     return _first_min_weight_word(code)
 
 
@@ -867,9 +868,8 @@ def subcode_from_bz(I: Iterable[int], fact: Factorization) -> CyclicCode:
 
 
 def subcode_distance(fact: Factorization, I: Iterable[int], *,
-                     enum_budget: int = ENUM_BUDGET_DEFAULT,
-                     rank_budget: int = RANK_BUDGET_DEFAULT) -> int:
+                     budget: Budget = Budget()) -> int:
     """Minimum distance of subcode_from_bz(I, fact), through the cache of
-    min_distance, so the budgets bind as in a first call."""
+    min_distance, so the budget binds as in a first call."""
     return min_distance(subcode_from_bz(I, fact).linear_code(),
-                        enum_budget=enum_budget, rank_budget=rank_budget)
+                        budget=budget)

@@ -39,12 +39,7 @@ from typing import Mapping, Sequence
 
 from .algebra import Field
 from .bounds import STATUS_OPTIMAL, go_bound, locality_upper, status_label
-from .codes import (
-    ENUM_BUDGET_DEFAULT,
-    RANK_BUDGET_DEFAULT,
-    LinearCode,
-    min_distance,
-)
+from .codes import Budget, LinearCode, min_distance
 from .errors import ConstructionError, InternalConsistencyError
 from .qc import ConstituentDecomposition
 
@@ -59,12 +54,11 @@ Database = Mapping[tuple[int, int, int], Sequence[Sequence[int]]]
 
 
 def _verified(code: LinearCode, n: int, k: int, d: int,
-              enum_budget: int, rank_budget: int) -> LinearCode | None:
+              budget: Budget) -> LinearCode | None:
     """The candidate iff it has exactly the target parameters."""
     if code.n != n or code.k != k:
         return None
-    if min_distance(code, enum_budget=enum_budget,
-                    rank_budget=rank_budget) != d:
+    if min_distance(code, budget=budget) != d:
         return None
     return code
 
@@ -169,25 +163,23 @@ def _quadric_columns(field: Field) -> tuple[tuple[int, ...], ...]:
 
 def exact_code(field: Field, n: int, k: int, d: int, *,
                database: Database | None = None,
-               enum_budget: int = ENUM_BUDGET_DEFAULT,
-               rank_budget: int = RANK_BUDGET_DEFAULT) -> LinearCode:
+               budget: Budget = Budget()) -> LinearCode:
     """A code with exactly the parameters [n, k, d], or ConstructionError.
 
     Rungs are tried in a fixed order (see the module docstring), each
     output is verified exactly, and failure to verify moves to the next
     rung, so equal inputs always return equal codes.  Without a database
-    the code is built once per process for each (field, n, k, d,
-    enum_budget, rank_budget); errors are not cached.  A database is a
-    mapping, not hashable, so that path builds the code on every call.
+    the code is built once per process for each (field, n, k, d, budget);
+    errors are not cached.  A database is a mapping, not hashable, so
+    that path builds the code on every call.
     """
     if database is None:
-        return _exact_code_cached(field, n, k, d, enum_budget, rank_budget,
-                                  None)
-    return _exact_code(field, n, k, d, enum_budget, rank_budget, database)
+        return _exact_code_cached(field, n, k, d, budget, None)
+    return _exact_code(field, n, k, d, budget, database)
 
 
-def _exact_code(field: Field, n: int, k: int, d: int, enum_budget: int,
-                rank_budget: int, database: Database | None) -> LinearCode:
+def _exact_code(field: Field, n: int, k: int, d: int, budget: Budget,
+                database: Database | None) -> LinearCode:
     if not 1 <= k <= n:
         raise ValueError(f"dimension {k} outside 1..{n}")
     if d < 1:
@@ -197,34 +189,33 @@ def _exact_code(field: Field, n: int, k: int, d: int, enum_budget: int,
             f"no [{n}, {k}, {d}] code over a field of order {field.order}: "
             f"the distance exceeds the Singleton bound {n - k + 1}")
     if d == 1:
-        got = _verified(_identity_padded(field, n, k), n, k, d,
-                        enum_budget, rank_budget)
+        got = _verified(_identity_padded(field, n, k), n, k, d, budget)
         if got is not None:
             return got
     if d >= 2:
         cand = _power_column_code(field, n, k, d)
         if cand is not None:
-            got = _verified(cand, n, k, d, enum_budget, rank_budget)
+            got = _verified(cand, n, k, d, budget)
             if got is not None:
                 return got
         cols = _greedy_columns(field, n - k, d)
         if len(cols) >= n:
             got = _verified(_from_parity_columns(field, cols[:n]),
-                            n, k, d, enum_budget, rank_budget)
+                            n, k, d, budget)
             if got is not None:
                 return got
     if (d == 4 and n - k == 4 and field.order <= QUADRIC_FIELD_CAP
             and n <= field.order ** 2 + 1):
         cols = _quadric_columns(field)
         got = _verified(_from_parity_columns(field, cols[:n]),
-                        n, k, d, enum_budget, rank_budget)
+                        n, k, d, budget)
         if got is not None:
             return got
     if database is not None:
         entry = database.get((field.order, n, k))
         if entry is not None:
             got = _verified(LinearCode.from_rows(field, n, entry),
-                            n, k, d, enum_budget, rank_budget)
+                            n, k, d, budget)
             if got is not None:
                 return got
             raise ConstructionError(
@@ -240,8 +231,7 @@ _exact_code_cached = lru_cache(maxsize=None)(_exact_code)
 
 def extend_constituent(code: LinearCode, j: int, *,
                        database: Database | None = None,
-                       enum_budget: int = ENUM_BUDGET_DEFAULT,
-                       rank_budget: int = RANK_BUDGET_DEFAULT) -> LinearCode:
+                       budget: Budget = Budget()) -> LinearCode:
     """The [n+j, k+j, d] extension of a code; zero codes gain length only."""
     if j < 0:
         raise ValueError(f"extension index {j} must be nonnegative")
@@ -249,10 +239,9 @@ def extend_constituent(code: LinearCode, j: int, *,
         return LinearCode.zero(code.field, code.n + j)
     if j == 0:
         return code
-    d = min_distance(code, enum_budget=enum_budget, rank_budget=rank_budget)
+    d = min_distance(code, budget=budget)
     return exact_code(code.field, code.n + j, code.k + j, d,
-                      database=database, enum_budget=enum_budget,
-                      rank_budget=rank_budget)
+                      database=database, budget=budget)
 
 
 def _ds_value(m: int, ell: int, dims: Sequence[int], degrees: Sequence[int],
@@ -284,20 +273,16 @@ class FamilySpec:
     @classmethod
     def from_base(cls, base: ConstituentDecomposition, *, j_max: int = 64,
                   database: Database | None = None,
-                  enum_budget: int = ENUM_BUDGET_DEFAULT,
-                  rank_budget: int = RANK_BUDGET_DEFAULT) -> "FamilySpec":
+                  budget: Budget = Budget()) -> "FamilySpec":
         nonzero = base.nonzero_indices()
         if not nonzero:
             raise ValueError("zero code has no extension family")
-        r_upper = locality_upper(base, enum_budget=enum_budget,
-                                 rank_budget=rank_budget)
+        r_upper = locality_upper(base, budget=budget)
         degrees = tuple(base.fact.factors[i - 1].degree for i in nonzero)
         dims = tuple(base.constituents[i - 1].k for i in nonzero)
-        dists = tuple(base.constituent_distance(i, enum_budget=enum_budget,
-                                                rank_budget=rank_budget)
+        dists = tuple(base.constituent_distance(i, budget=budget)
                       for i in nonzero)
-        d_go = go_bound(base, enum_budget=enum_budget,
-                        rank_budget=rank_budget).value
+        d_go = go_bound(base, budget=budget).value
         admissible = [0]
         for j in range(1, j_max + 1):
             if _ds_value(base.m, base.ell, dims, degrees, r_upper, j) <= 0:
@@ -326,9 +311,7 @@ def ds_of_cj(spec: FamilySpec, j: int) -> int:
                      spec.r_upper, j)
 
 
-def build_cj(spec: FamilySpec, j: int, *,
-             enum_budget: int = ENUM_BUDGET_DEFAULT,
-             rank_budget: int = RANK_BUDGET_DEFAULT
+def build_cj(spec: FamilySpec, j: int, *, budget: Budget = Budget()
              ) -> ConstituentDecomposition:
     """The j-th family member, with its invariants recomputed and checked."""
     if j not in spec.admissible:
@@ -344,9 +327,7 @@ def build_cj(spec: FamilySpec, j: int, *,
             cons.append(LinearCode.zero(code.field, ell))
             continue
         cons.append(exact_code(code.field, ell, code.k + j, spec.dists[pos],
-                               database=spec.database,
-                               enum_budget=enum_budget,
-                               rank_budget=rank_budget))
+                               database=spec.database, budget=budget))
         pos += 1
     dec = ConstituentDecomposition(spec.base.fact, ell, tuple(cons))
     expected_k = sum((ki + j) * b
@@ -355,14 +336,12 @@ def build_cj(spec: FamilySpec, j: int, *,
         raise InternalConsistencyError(
             f"member j={j} has dimension {dec.dimension()}, "
             f"expected {expected_k}")
-    r_up = locality_upper(dec, enum_budget=enum_budget,
-                          rank_budget=rank_budget)
+    r_up = locality_upper(dec, budget=budget)
     if r_up != spec.r_upper:
         raise InternalConsistencyError(
             f"member j={j} recomputes locality bound {r_up} != "
             f"{spec.r_upper}")
-    d_go = go_bound(dec, enum_budget=enum_budget,
-                    rank_budget=rank_budget).value
+    d_go = go_bound(dec, budget=budget).value
     if d_go != spec.d_go:
         raise InternalConsistencyError(
             f"member j={j} recomputes distance bound {d_go} != {spec.d_go}")
@@ -391,9 +370,7 @@ class ScanReport:
     warnings: tuple[str, ...]
 
 
-def scan(spec: FamilySpec, *,
-         enum_budget: int = ENUM_BUDGET_DEFAULT,
-         rank_budget: int = RANK_BUDGET_DEFAULT) -> ScanReport:
+def scan(spec: FamilySpec, *, budget: Budget = Budget()) -> ScanReport:
     """Walk the admissible indices and classify every family member.
 
     The first j whose two bounds meet certifies the whole tail: members
@@ -410,8 +387,7 @@ def scan(spec: FamilySpec, *,
     prev_ds = None
     for j in spec.admissible:
         try:
-            dec = build_cj(spec, j, enum_budget=enum_budget,
-                           rank_budget=rank_budget)
+            dec = build_cj(spec, j, budget=budget)
         except ConstructionError as err:
             warnings.append(f"index set truncated at j={j}: {err}")
             break

@@ -20,16 +20,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .algebra import Factorization, Field, Poly, factor_unity, field_trace
-from .codes import (
-    ENUM_BUDGET_DEFAULT,
-    RANK_BUDGET_DEFAULT,
-    CyclicCode,
-    LinearCode,
-    min_distance,
-    rref,
-    subcode_from_bz,
-    subcode_distance,
-)
+from .codes import (Budget, CyclicCode, LinearCode, min_distance, rref,
+                    subcode_from_bz, subcode_distance)
 from .errors import InternalConsistencyError
 
 # tie enumeration and full subset listings stay exact up to this many
@@ -129,16 +121,14 @@ class ConstituentDecomposition:
                      if not c.is_zero())
 
     def constituent_distance(self, i: int, *,
-                             enum_budget: int = ENUM_BUDGET_DEFAULT,
-                             rank_budget: int = RANK_BUDGET_DEFAULT) -> int:
+                             budget: Budget = Budget()) -> int:
         """Minimum distance of the i-th (1-based) constituent.
 
-        The answer comes from the cache of min_distance, so the budgets
-        bind as in a first call; ``_dcache[i]`` records it.
+        The answer comes from the cache of min_distance, so the budget
+        binds as in a first call; ``_dcache[i]`` records it.
         """
-        got = self._dcache[i] = min_distance(
-            self.constituents[i - 1], enum_budget=enum_budget,
-            rank_budget=rank_budget)
+        got = self._dcache[i] = min_distance(self.constituents[i - 1],
+                                             budget=budget)
         return got
 
 
@@ -147,7 +137,8 @@ def evaluate_constituents(code: QCCode,
                           ) -> ConstituentDecomposition:
     """Evaluate every generator entry at each factor's root.
 
-    An entry evaluates to zero exactly when the factor divides it; the
+    Each entry is reduced modulo the factor once and the remainder is
+    evaluated; the value is zero exactly when the remainder is, and the
     two conditions are cross-checked.  The row spans over the factor
     fields form the constituent codes.
     """
@@ -161,8 +152,9 @@ def evaluate_constituents(code: QCCode,
         for gen in code.generators:
             row = []
             for a in gen:
-                val = info.eval(a)
-                if (val == 0) != info.poly.divides(a):
+                rem = a.mod(info.poly)
+                val = info.eval(rem)
+                if (val == 0) != rem.is_zero():
                     raise InternalConsistencyError(
                         "evaluation and divisibility disagree at factor "
                         f"{info.poly}")
@@ -309,13 +301,10 @@ def rebuild_code(dec: ConstituentDecomposition) -> LinearCode:
 
 
 def distance_sorted_order(dec: ConstituentDecomposition, *,
-                          enum_budget: int = ENUM_BUDGET_DEFAULT,
-                          rank_budget: int = RANK_BUDGET_DEFAULT
-                          ) -> tuple[int, ...]:
+                          budget: Budget = Budget()) -> tuple[int, ...]:
     """Nonzero constituent indices sorted by distance descending, index
     ascending (the position order used by the distance bound)."""
-    items = [(i, dec.constituent_distance(i, enum_budget=enum_budget,
-                                          rank_budget=rank_budget))
+    items = [(i, dec.constituent_distance(i, budget=budget))
              for i in dec.nonzero_indices()]
     items.sort(key=lambda t: (-t[1], t[0]))
     return tuple(i for i, _ in items)
@@ -347,18 +336,14 @@ class AssociatedCodes:
         return subcode_from_bz(self.factor_set(positions), self.dec.fact)
 
     def distance(self, positions: Iterable[int], *,
-                 enum_budget: int = ENUM_BUDGET_DEFAULT,
-                 rank_budget: int = RANK_BUDGET_DEFAULT) -> int:
+                 budget: Budget = Budget()) -> int:
         return subcode_distance(self.dec.fact, self.factor_set(positions),
-                                enum_budget=enum_budget,
-                                rank_budget=rank_budget)
+                                budget=budget)
 
 
 def associated_cyclic_codes(dec: ConstituentDecomposition, *,
                             order: tuple[int, ...] | None = None,
-                            enum_budget: int = ENUM_BUDGET_DEFAULT,
-                            rank_budget: int = RANK_BUDGET_DEFAULT
-                            ) -> AssociatedCodes:
+                            budget: Budget = Budget()) -> AssociatedCodes:
     """The sorted position order and the reported subset family.
 
     An explicit ``order`` (any permutation of the nonzero constituent
@@ -366,8 +351,7 @@ def associated_cyclic_codes(dec: ConstituentDecomposition, *,
     distance sort.
     """
     if order is None:
-        order = distance_sorted_order(dec, enum_budget=enum_budget,
-                                      rank_budget=rank_budget)
+        order = distance_sorted_order(dec, budget=budget)
     elif sorted(order) != sorted(dec.nonzero_indices()):
         raise ValueError(
             "order is not a permutation of the nonzero constituent indices")

@@ -16,7 +16,8 @@ import pytest
 from qclrc.algebra import factor_unity, make_field
 from qclrc.bounds import (CERT_PREFIX, full_report, go_bound, prefix_bound,
                           recovery_check)
-from qclrc.codes import LinearCode, min_distance, min_weight_codeword, rref
+from qclrc.codes import (Budget, LinearCode, min_distance, min_weight_codeword,
+                         rref)
 from qclrc.construct import (FamilySpec, ScanRow, chain_condition, ds_of_cj,
                              scan)
 from qclrc.qc import (ConstituentDecomposition, evaluate_constituents,
@@ -156,7 +157,8 @@ def test_criterion_05(decomposition_set):
             f"for (q, m, ell) = {params}")
         telescoped = go_bound(dec).value
         if true_d < telescoped:
-            weight, word = min_weight_codeword(code, enum_budget=DIM_CAP)
+            weight, word = min_weight_codeword(
+                code, budget=Budget(enum=DIM_CAP))
             assert weight == true_d, (
                 f"witness weight {weight} != true distance {true_d} below "
                 f"telescoped value {telescoped} for (q, m, ell) = {params}")
@@ -198,7 +200,7 @@ def test_criterion_08(rng):
         if code.is_zero():
             continue
         by_enum = min_distance(code, strategy="enumeration",
-                               enum_budget=DIM_CAP)
+                               budget=Budget(enum=DIM_CAP))
         by_parity = min_distance(code, strategy="parity")
         assert by_enum == by_parity, (
             f"strategies disagree on a [{n}, {code.k}] code over F_{q}: "

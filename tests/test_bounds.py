@@ -19,7 +19,7 @@ from qclrc.bounds import (
     singleton_bound,
     status_label,
 )
-from qclrc.codes import LinearCode, min_distance
+from qclrc.codes import Budget, LinearCode, min_distance
 from qclrc.errors import InternalConsistencyError
 from qclrc.qc import ConstituentDecomposition, generator_matrix, rebuild_code
 from qclrc.reference import reference_case
@@ -233,10 +233,10 @@ def test_telescoped_terms_overshoot_on_reference_77_48():
     for position, coef in zip((0, 11, 22, 33), (1, 2, 3, 4)):
         word[position] = coef
     assert rebuild_code(dec).contains(word)
-    # enum_budget=1 routes every distance to the exact parity-check search,
+    # Budget(enum=1) routes every distance to the exact parity-check search,
     # which takes milliseconds here where enumeration takes seconds.
-    assert prefix_bound(dec, enum_budget=1).value == 4
-    assert go_bound(dec, enum_budget=1).value == 10
+    assert prefix_bound(dec, budget=Budget(enum=1)).value == 4
+    assert go_bound(dec, budget=Budget(enum=1)).value == 10
 
 
 def test_prefix_bound_holds_on_overlapping_supports():

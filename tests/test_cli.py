@@ -291,7 +291,7 @@ def test_reproduce_unknown_id_is_usage_error():
 
 def test_reproduce_mismatch_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setitem(cli._CHECKS, "4.1",
-                        lambda budgets: [("k", 15, 14), ("d_S", 5, 5)])
+                        lambda budget: [("k", 15, 14), ("d_S", 5, 5)])
     code, out, _ = run(capsys, "reproduce", "4.1")
     assert code == 1
     assert "FAIL k: expected 15, got 14" in out
@@ -391,10 +391,19 @@ def test_mindist_structured_reports_method(capsys, tmp_path):
     assert (doc["d"], doc["method"]) == (2, "parity")
 
 
-def test_mindist_surfaces_budget_exhaustion(capsys, rs_matrix_file):
-    code, _, err = run(capsys, "mindist", rs_matrix_file, "--budget", "1")
+@pytest.mark.parametrize("command", [
+    ("mindist", "{matrix}"), ("analyze", "{spec}"), ("scan", "{spec}"),
+    ("extend", "{matrix}", "2"), ("reproduce", "4.1")],
+    ids=lambda command: command[0])
+def test_budget_exhaustion_surfaces_on_every_command(capsys, rs_matrix_file,
+                                                     ref_spec_file, command):
+    # A command that dropped --budget would answer at the default budget.
+    argv = [arg.format(matrix=rs_matrix_file, spec=ref_spec_file("4.1"))
+            for arg in command]
+    code, out, err = run(capsys, *argv, "--budget", "1")
     assert code == 1
-    assert "budget" in err
+    assert out == ""
+    assert re.fullmatch(r"error: .*budget.*\n", err)   # one line
 
 
 # -- process-level smoke ------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from qclrc import codes
 from qclrc.algebra import Poly, factor_unity, make_field
 from qclrc.codes import (
+    Budget,
     CyclicCode,
     LinearCode,
     cyclic_code,
@@ -198,13 +199,13 @@ def test_min_distance_enumeration_budget():
                                         [0, 1, 0, 0, 1, 0],
                                         [0, 0, 1, 0, 0, 1]])
     with pytest.raises(ResourceLimitError, match="enumeration budget"):
-        min_distance(code, strategy="enumeration", enum_budget=4)
+        min_distance(code, strategy="enumeration", budget=Budget(enum=4))
 
 
 def test_min_distance_parity_budget():
     code = LinearCode.from_rows(F2, 8, [[1, 1, 1, 1, 1, 1, 1, 1]])
     with pytest.raises(ResourceLimitError, match="instance too large"):
-        min_distance(code, strategy="parity", rank_budget=3)
+        min_distance(code, strategy="parity", budget=Budget(rank=3))
 
 
 def test_min_distance_auto_falls_back_to_parity():
@@ -213,7 +214,7 @@ def test_min_distance_auto_falls_back_to_parity():
     for r in rows:
         r.extend([0])
     code = LinearCode.from_rows(F2, 9, [r[:9] for r in rows])
-    d_auto = min_distance(code, enum_budget=8)
+    d_auto = min_distance(code, budget=Budget(enum=8))
     d_enum = min_distance(code, strategy="enumeration")
     assert d_auto == d_enum
 
@@ -244,13 +245,13 @@ def test_min_distance_auto_enumerates_when_parity_exceeds_rank_budget():
     # budget holds all 3^6 codewords, so auto answers instead of raising.
     code = zero_sum_code(F3, 7)
     assert distance_strategy(code) == "parity"
-    assert distance_strategy(code, rank_budget=27) == "enumeration"
-    assert min_distance(code, rank_budget=27) == 2
+    assert distance_strategy(code, budget=Budget(rank=27)) == "enumeration"
+    assert min_distance(code, budget=Budget(rank=27)) == 2
     with pytest.raises(ResourceLimitError):
-        min_distance(code, strategy="parity", rank_budget=27)
+        min_distance(code, strategy="parity", budget=Budget(rank=27))
     # with neither budget met, auto raises as before
     with pytest.raises(ResourceLimitError, match="instance too large"):
-        min_distance(code, enum_budget=3 ** 6 - 1, rank_budget=27)
+        min_distance(code, budget=Budget(enum=3 ** 6 - 1, rank=27))
 
 
 def test_min_distance_unknown_strategy():
@@ -338,8 +339,8 @@ def test_min_weight_codeword_memoized_per_code(monkeypatch):
     # the budget gate comes first, so errors are never cached
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
-            min_weight_codeword(code, enum_budget=7)
-    assert min_weight_codeword(code, enum_budget=8)[0] == 4
+            min_weight_codeword(code, budget=Budget(enum=7))
+    assert min_weight_codeword(code, budget=Budget(enum=8))[0] == 4
     assert len(enum) == 1
     # a named strategy still runs its kernel
     assert min_distance(code, strategy="enumeration") == 4
@@ -468,7 +469,7 @@ def test_information_sets_are_disjoint_and_systematic(rng):
 
 
 def test_enumeration_budget_boundary():
-    # q^k = enum_budget enumerates; q^k = enum_budget + 1 raises, on the
+    # q^k = budget.enum enumerates; q^k = budget.enum + 1 raises, on the
     # projective pass and on the information-set search alike
     F16 = make_field(16)
     rs = LinearCode.from_rows(
@@ -477,12 +478,13 @@ def test_enumeration_budget_boundary():
     for code, d in ((rs, 11), (zero_sum_code(F3, 7), 2)):
         size = code.field.order ** code.k
         assert min_distance(code, strategy="enumeration",
-                            enum_budget=size) == d
+                            budget=Budget(enum=size)) == d
         with pytest.raises(ResourceLimitError, match="enumeration budget"):
-            min_distance(code, strategy="enumeration", enum_budget=size - 1)
-        assert min_weight_codeword(code, enum_budget=size)[0] == d
-        with pytest.raises(ResourceLimitError):
-            min_weight_codeword(code, enum_budget=size - 1)
+            min_distance(code, strategy="enumeration",
+                         budget=Budget(enum=size - 1))
+        assert min_weight_codeword(code, budget=Budget(enum=size))[0] == d
+        with pytest.raises(ResourceLimitError, match="enumeration budget"):
+            min_weight_codeword(code, budget=Budget(enum=size - 1))
 
 
 def cyclic_rows_from_octal(text, n):
@@ -656,18 +658,18 @@ def test_subcode_distance_budget_binds_after_cached_call():
     fact = factor_unity(7, 2)
     assert subcode_distance(fact, [1]) == 4
     with pytest.raises(ResourceLimitError):
-        subcode_distance(fact, [1], enum_budget=1, rank_budget=1)
+        subcode_distance(fact, [1], budget=Budget(enum=1, rank=1))
     shared = factor_unity(7, make_field(2))
     assert shared is fact
     with pytest.raises(ResourceLimitError):
-        subcode_distance(shared, [1], enum_budget=1, rank_budget=1)
+        subcode_distance(shared, [1], budget=Budget(enum=1, rank=1))
     assert subcode_distance(shared, [1]) == 4
 
 
 def test_subcode_distance_tight_budget_raises_cold():
     fact = factor_unity(7, 2)
     with pytest.raises(ResourceLimitError):
-        subcode_distance(fact, [1], enum_budget=1, rank_budget=1)
+        subcode_distance(fact, [1], budget=Budget(enum=1, rank=1))
     assert subcode_distance(fact, [1]) == 4
 
 
@@ -704,7 +706,7 @@ def test_auto_distance_cached_per_budget(monkeypatch):
     assert same == code and same is not code
     assert min_distance(code) == min_distance(same) == 4
     assert len(parity) + len(enum) == 1
-    assert min_distance(code, enum_budget=1) == 4
+    assert min_distance(code, budget=Budget(enum=1)) == 4
     assert len(parity) + len(enum) == 2
 
 
@@ -713,6 +715,6 @@ def test_resource_limit_is_not_cached(monkeypatch):
     parity = counting(monkeypatch, "_min_weight_parity")
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
-            min_distance(code, enum_budget=1, rank_budget=1)
+            min_distance(code, budget=Budget(enum=1, rank=1))
     assert len(parity) == 2
     assert min_distance(code) == 4

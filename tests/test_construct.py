@@ -8,7 +8,7 @@ import pytest
 
 from qclrc.algebra import factor_unity, make_field
 from qclrc.bounds import prefix_bound, singleton_bound
-from qclrc.codes import LinearCode, min_distance, rref
+from qclrc.codes import Budget, LinearCode, min_distance, rref
 from qclrc.construct import (
     FamilySpec,
     ScanRow,
@@ -139,7 +139,7 @@ def test_exact_code_deterministic():
 def test_exact_code_cached_without_database():
     code = exact_code(F5, 12, 8, 4)
     assert exact_code(F5, 12, 8, 4) is code
-    assert exact_code(F5, 12, 8, 4, enum_budget=1) == code
+    assert exact_code(F5, 12, 8, 4, budget=Budget(enum=1)) == code
     db = {(5, 12, 8): code.rows}
     assert exact_code(F5, 12, 8, 4, database=db) == code
 

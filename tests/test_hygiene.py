@@ -1,8 +1,12 @@
-"""Dead-code guard over the package sources, by syntax tree only.
+"""Dead-code and budget guards over the package sources, by syntax tree
+only.
 
 Every name a module imports is used in that module, and every top-level
 function, class and assigned name and every method is referenced
 somewhere in src/, tests/ or perfbench/ besides its own definition.
+Distance budgets travel as one ``codes.Budget`` value: no function takes
+or passes the old ``enum_budget``/``rank_budget`` keywords, and only
+codes.py reads a budget's fields.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qclrc"
 SEARCHED = ("src", "tests", "perfbench")
+OLD_BUDGET_KEYWORDS = {"enum_budget", "rank_budget"}
+BUDGET_FIELDS = {"enum", "rank"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -96,3 +102,25 @@ def test_every_definition_is_referenced():
             for name, line in _definitions(_tree(path))
             if name not in referenced]
     assert dead == []
+
+
+def test_budget_travels_as_one_value():
+    old, reads = [], []
+    for path in _modules():
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [arg.arg for arg in (*a.posonlyargs, *a.args,
+                                             *a.kwonlyargs)]
+            elif isinstance(node, ast.Call):
+                names = [kw.arg for kw in node.keywords]
+            else:
+                names = []
+            old += [f"{path.name}:{node.lineno} {name}" for name in names
+                    if name in OLD_BUDGET_KEYWORDS]
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in BUDGET_FIELDS and path.name != "codes.py":
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert old == []
+    assert reads == []

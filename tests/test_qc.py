@@ -13,9 +13,11 @@ from itertools import product
 
 import pytest
 
-from qclrc.algebra import Poly, factor_unity, make_field, unity_context
-from qclrc.codes import LinearCode, min_distance, rref, subcode_from_bz
-from qclrc.errors import ResourceLimitError
+from qclrc.algebra import (FactorInfo, Poly, factor_unity, make_field,
+                           unity_context)
+from qclrc.codes import (Budget, LinearCode, min_distance, rref,
+                         subcode_from_bz)
+from qclrc.errors import InternalConsistencyError, ResourceLimitError
 from qclrc.qc import (
     AssociatedCodes,
     ConstituentDecomposition,
@@ -189,6 +191,21 @@ def test_evaluation_zero_iff_divisible(rng):
     assert dec.constituents[0].is_zero()
     assert not dec.constituents[1].is_zero()
     assert not dec.constituents[2].is_zero()
+
+
+@pytest.mark.parametrize("wrong", [lambda got: got or 1, lambda got: 0],
+                         ids=["zero-made-nonzero", "nonzero-made-zero"])
+def test_evaluation_disagreeing_with_divisibility_is_caught(monkeypatch,
+                                                            wrong):
+    # f1 divides the entry, so its true value is 0 at f1 and nonzero at
+    # the other factors; either kind of wrong value must be caught
+    fact = factor_unity(7, 2)
+    code = QCCode(F2, 7, 1, ((fact.factors[0].poly,),))
+    evaluate = FactorInfo.eval
+    monkeypatch.setattr(FactorInfo, "eval",
+                        lambda info, a: wrong(evaluate(info, a)))
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        evaluate_constituents(code, fact)
 
 
 def test_evaluate_rejects_mismatched_factorization():
@@ -400,12 +417,12 @@ def test_constituent_distance_budget_binds_after_cached_call():
     # on the same decomposition or on another sharing its factorization
     first = reference_case("4.1")
     with pytest.raises(ResourceLimitError):
-        first.constituent_distance(1, enum_budget=1, rank_budget=1)
+        first.constituent_distance(1, budget=Budget(enum=1, rank=1))
     assert first.constituent_distance(1) == 2
     with pytest.raises(ResourceLimitError):
-        first.constituent_distance(1, enum_budget=1, rank_budget=1)
+        first.constituent_distance(1, budget=Budget(enum=1, rank=1))
     second = reference_case("4.1")
     assert second.fact is first.fact
     with pytest.raises(ResourceLimitError):
-        second.constituent_distance(1, enum_budget=1, rank_budget=1)
+        second.constituent_distance(1, budget=Budget(enum=1, rank=1))
     assert second.constituent_distance(1) == 2
