@@ -7,6 +7,16 @@ down.  Index 0 is zero and index 1 is one in every field, and the elements
 of any field lower in the same tower are exactly the indices below its
 order, so embedding along a tower is the identity on indices.
 
+Each field picks one arithmetic for whole rows (``Field.axpy``, the row
+u + c*v, and ``Field.scale_row``): integer arithmetic mod p over prime
+fields, xor when p = 2; lookups in the log/antilog tables for extension
+fields up to ``_TABLE_MAX`` elements, with Zech logarithms for the sum in
+odd characteristic; scalar field operations above.  Row reduction,
+polynomial arithmetic and codeword combination go through these kernels
+rather than through one ``add``/``mul`` call per entry.  The trace from a
+field of at most ``_TABLE_MAX`` elements is looked up in a table of every
+element's trace, built once per pair of fields.
+
 The module also builds cyclotomic cosets and the factorization of x^m - 1
 into irreducible factors, one per coset, together with the extension field
 and distinguished root attached to each factor.
@@ -17,11 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import xor
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import InternalConsistencyError
 
-# Log/antilog tables are built lazily for fields up to this order.
+# Log/antilog tables are built lazily for extension fields up to this
+# order, and trace tables for fields up to it.
 _TABLE_MAX = 1 << 16
 
 
@@ -51,10 +65,14 @@ class Field:
     :func:`make_extension`; the constructor itself is internal.  Instances
     are immutable values (the only mutable state is an internal table
     cache); equality is structural on the modulus chain.
+
+    Row operations go through two kernels chosen once per field on first
+    use (``_pick_rows``): ``axpy(u, c, v)``, the row u + c*v, and
+    ``scale_row(c, v)``, the row c*v.
     """
 
     __slots__ = ("char", "base", "modulus", "order", "degree", "_sig",
-                 "_exp", "_log")
+                 "_exp", "_log", "_zech", "axpy", "scale_row")
 
     def __init__(self, char: int, base: "Field | None",
                  modulus: "Poly | None"):
@@ -72,6 +90,7 @@ class Field:
             self._sig = base._sig + (modulus.coeffs,)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
 
     # -- identity ---------------------------------------------------------
 
@@ -134,6 +153,11 @@ class Field:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        p = self.char
+        if p == 2:
+            return a ^ b
+        if self.base is None:
+            return (a - b) % p
         return self.add(a, self.neg(b))
 
     # -- multiplicative structure -------------------------------------------
@@ -150,8 +174,7 @@ class Field:
         if self._exp is None and self.order <= _TABLE_MAX:
             self._build_tables()
         if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(self._log[a] + self._log[b]) % n]
+            return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
 
     def _unpack(self, a: int) -> list[int]:
@@ -179,33 +202,48 @@ class Field:
         bv = self._unpack(b)
         prod = [0] * (2 * step - 1)
         for i, ai in enumerate(av):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(bv):
-                if bj:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        mod = self.modulus.coeffs  # monic
+            if ai:
+                prod[i:i + step] = base.axpy(prod[i:i + step], ai, bv)
+        lower = self.modulus.coeffs[:-1]  # monic
         for i in range(len(prod) - 1, step - 1, -1):
             lead = prod[i]
-            if lead == 0:
-                continue
-            prod[i] = 0
-            for j in range(step):
-                prod[i - step + j] = base.sub(
-                    prod[i - step + j], base.mul(lead, mod[j]))
+            if lead:
+                prod[i - step:i] = base.axpy(prod[i - step:i],
+                                             base.neg(lead), lower)
         return self._pack(prod[:step])
 
     def _build_tables(self) -> None:
+        """Log/antilog tables of an extension field over the powers of its
+        multiplicative generator g.
+
+        Addition is digitwise mod p on the base-p digits of an index, so
+        multiplication by g is an F_p-linear map of those digits: the
+        index of g*a is found for every a at once from the images of the
+        places p^j, and the powers of g follow that map from 1.  Below
+        _TABLE_MAX = 2^16 elements every index and digit sum fits int32.
+        """
         g = self.multiplicative_generator()
-        n = self.order - 1
+        p, n = self.char, self.order - 1
+        places = p ** np.arange(self.degree, dtype=np.int32)
+        images = np.array([self._mul_raw(g, int(b)) for b in places],
+                          dtype=np.int32)
+        digits = np.arange(self.order, dtype=np.int32)[:, None] // places % p
+        image_digits = images[:, None] // places % p
+        times_g = (digits @ image_digits % p @ places).tolist()
         exp = [1] * n
         for t in range(1, n):
-            exp[t] = self._mul_raw(exp[t - 1], g) if self.base is not None \
-                else (exp[t - 1] * g) % self.char
+            exp[t] = times_g[exp[t - 1]]
         log = [0] * self.order
         for t, v in enumerate(exp):
             log[v] = t
-        self._exp = exp
+        if p != 2:
+            # zech[t] is the log of 1 + g^t, or -1 where that sum is 0;
+            # adding 1 changes only the lowest base-p digit of an index.
+            zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
+            zech[n // 2] = -1
+            self._zech = zech + zech
+        # Stored twice over, so a sum of two logs indexes it without % n.
+        self._exp = exp + exp
         self._log = log
 
     def multiplicative_generator(self) -> int:
@@ -252,6 +290,84 @@ class Field:
             a = self.mul(a, a)
             e >>= 1
         return out
+
+    def __reduce__(self):
+        # The picked row kernels are closures; a copy picks its own.
+        return Field, (self.char, self.base, self.modulus)
+
+    # -- row kernels --------------------------------------------------------
+
+    def __getattr__(self, name: str):
+        # The slots axpy and scale_row are filled on first use.
+        if name not in ("axpy", "scale_row"):
+            raise AttributeError(name)
+        self.axpy, self.scale_row = self._pick_rows()
+        return getattr(self, name)
+
+    def _pick_rows(self) -> tuple[Callable, Callable]:
+        """This field's row kernels, axpy(u, c, v) = u + c*v and
+        scale_row(c, v) = c*v, entry by entry: integer arithmetic mod p
+        (xor when p = 2), log/antilog lookups up to _TABLE_MAX elements,
+        scalar field operations above."""
+        p = self.char
+        if self.base is None and p == 2:
+            def axpy(u, c, v):
+                return list(map(xor, u, v)) if c else list(u)
+
+            def scale_row(c, v):
+                return list(v) if c else [0] * len(v)
+        elif self.base is None:
+            def axpy(u, c, v):
+                return [(a + c * b) % p for a, b in zip(u, v)]
+
+            def scale_row(c, v):
+                return [c * b % p for b in v]
+        elif self.order <= _TABLE_MAX:
+            if self._exp is None:
+                self._build_tables()
+            exp, log, zech = self._exp, self._log, self._zech
+
+            def scale_row(c, v):
+                if not c:
+                    return [0] * len(v)
+                lc = log[c]
+                return [exp[lc + log[b]] if b else 0 for b in v]
+
+            if p == 2:
+                def axpy(u, c, v):
+                    if not c:
+                        return list(u)
+                    lc = log[c]
+                    return [a ^ exp[lc + log[b]] if b else a
+                            for a, b in zip(u, v)]
+            else:
+                def axpy(u, c, v):
+                    # a + w = a (1 + w/a): the log of the sum is
+                    # log a + zech[log w - log a].
+                    if not c:
+                        return list(u)
+                    lc = log[c]
+                    out = []
+                    for a, b in zip(u, v):
+                        if b:
+                            t = lc + log[b]
+                            if a:
+                                la = log[a]
+                                z = zech[t - la]
+                                a = exp[la + z] if z >= 0 else 0
+                            else:
+                                a = exp[t]
+                        out.append(a)
+                    return out
+        else:
+            add, mul = self.add, self.mul
+
+            def axpy(u, c, v):
+                return [add(a, mul(c, b)) for a, b in zip(u, v)]
+
+            def scale_row(c, v):
+                return [mul(c, b) for b in v]
+        return axpy, scale_row
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -339,6 +455,24 @@ def field_trace(z: int, sup: Field, sub: Field) -> int:
     Both fields must belong to one registered tower; the result is an
     element of ``sub`` (verified).
     """
+    return trace_map(sup, sub)(z)
+
+
+def trace_map(sup: Field, sub: Field) -> Callable[[int], int]:
+    """field_trace from sup down to sub as a function of the element: a
+    lookup in the table of every element's trace when sup has at most
+    _TABLE_MAX elements, the power sum above."""
+    if sup.order <= _TABLE_MAX:
+        return _trace_table(sup, sub).__getitem__
+    return lambda z: _power_trace(z, sup, sub)
+
+
+@lru_cache(maxsize=None)
+def _trace_table(sup: Field, sub: Field) -> tuple[int, ...]:
+    return tuple(_power_trace(z, sup, sub) for z in sup.elements())
+
+
+def _power_trace(z: int, sup: Field, sub: Field) -> int:
     e = sup.degree_over(sub)
     s = sub.order
     acc = 0
@@ -429,21 +563,24 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------------
 
     def add(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        return self._plus(1, other)
 
     def neg(self) -> "Poly":
         F = self.field
-        return Poly(F, (F.neg(c) for c in self.coeffs))
+        return Poly(F, F.scale_row(F.neg(1), self.coeffs))
 
     def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.neg())
+        return self._plus(self.field.neg(1), other)
+
+    def _plus(self, c: int, other: "Poly") -> "Poly":
+        """self + c*other."""
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a = a + (0,) * (len(b) - len(a))
+        out = list(a)
+        out[:len(b)] = F.axpy(a[:len(b)], c, b)
+        return Poly(F, out)
 
     def mul(self, other: "Poly") -> "Poly":
         F = self.field
@@ -451,17 +588,15 @@ class Poly:
         if not a or not b:
             return Poly.zero(F)
         out = [0] * (len(a) + len(b) - 1)
+        nb = len(b)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+            if ai:
+                out[i:i + nb] = F.axpy(out[i:i + nb], ai, b)
         return Poly(F, out)
 
     def scale(self, c: int) -> "Poly":
         F = self.field
-        return Poly(F, (F.mul(c, a) for a in self.coeffs))
+        return Poly(F, F.scale_row(c, self.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
@@ -469,26 +604,33 @@ class Poly:
         return self.scale(self.field.inv(self.leading()))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        quo, rem = self._divide(other)
+        return Poly(self.field, quo), Poly(self.field, rem)
+
+    def mod(self, other: "Poly") -> "Poly":
+        return Poly(self.field, self._divide(other)[1])
+
+    def _divide(self, other: "Poly") -> tuple[list[int], list[int]]:
+        """Coefficients of the quotient and the remainder of self by
+        other."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
         rem = list(self.coeffs)
-        dlead = other.leading()
-        dinv = F.inv(dlead)
         dd = other.degree
-        quo = [0] * max(len(rem) - dd, 0)
+        if len(rem) <= dd:
+            return [], rem
+        *lower, lead = other.coeffs
+        dinv = 1 if lead == 1 else F.inv(lead)
+        quo = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
-            if c == 0:
-                continue
-            f = F.mul(c, dinv)
-            quo[i - dd] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(f, oc))
-        return Poly(F, quo), Poly(F, rem)
-
-    def mod(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
+            if c:
+                f = quo[i - dd] = F.mul(c, dinv)
+                rem[i - dd:i] = F.axpy(rem[i - dd:i], F.neg(f), lower)
+        # every coefficient from degree dd on has been cancelled
+        del rem[dd:]
+        return quo, rem
 
     def divides(self, other: "Poly") -> bool:
         return other.mod(self).is_zero()
@@ -711,11 +853,12 @@ class FactorInfo:
         """Evaluate a(x) over F_q at this factor's root.
 
         Reduction of a mod the factor gives the coefficient vector of the
-        value in the root; for linear factors this is Horner evaluation.
+        value in the root (a remainder already of lower degree is used as
+        it is); for linear factors this is Horner evaluation.
         """
         if self.degree == 1:
             return a.eval_at(self.root, self.ext_field)
-        rem = a.mod(self.poly)
+        rem = a if a.degree < self.degree else a.mod(self.poly)
         return self.pack(rem.coeffs + (0,) * (self.degree - len(rem.coeffs)))
 
     def root_power(self, e: int) -> int:

@@ -391,9 +391,7 @@ def recovery_check(dec: ConstituentDecomposition, coordinate: int,
     F = dec.field
     word = [0] * dec.n
     for row in rows:
-        c = rng.randrange(F.order)
-        if c:
-            word = [F.add(w, F.mul(c, v)) for w, v in zip(word, row)]
+        word = F.axpy(word, rng.randrange(F.order), row)
     m = dec.m
     array = tuple(tuple(word[j * m + g] for j in range(dec.ell))
                   for g in range(m))

@@ -115,12 +115,11 @@ def rref(rows: Iterable[Sequence[int]], field: Field
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = field.inv(mat[r][c])
         if inv != 1:
-            mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(a, field.mul(f, b))
-                          for a, b in zip(mat[i], mat[r])]
+            mat[r] = field.scale_row(inv, mat[r])
+        row = mat[r]
+        for i, other in enumerate(mat):
+            if i != r and other[c] != 0:
+                mat[i] = field.axpy(other, field.neg(other[c]), row)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -179,7 +178,7 @@ class LinearCode:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c != 0:
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+                v = F.axpy(v, F.neg(c), row)
         return tuple(v)
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -220,8 +219,7 @@ def _combine(F: Field, coefs: Sequence[int],
     """The combination of the rows with the given coefficients."""
     word = [0] * n
     for coef, row in zip(coefs, rows):
-        if coef:
-            word = [F.add(w, F.mul(coef, r)) for w, r in zip(word, row)]
+        word = F.axpy(word, coef, row)
     return word
 
 

@@ -118,23 +118,28 @@ def _greedy_columns(field: Field, red: int, d: int
         if col in covered:
             continue
         chosen.append(col)
-        multiples = [tuple(field.mul(a, v) for v in col) for a in range(1, q)]
+        multiples = [field.scale_row(a, col) for a in range(1, q)]
         for vec, t in list(covered.items()):
             if t < d - 2:
                 for mult in multiples:
-                    key = tuple(map(field.add, vec, mult))
+                    key = tuple(field.axpy(vec, 1, mult))
                     if covered.get(key, d) > t + 1:
                         covered[key] = t + 1
     return tuple(chosen)
+
+
+def _form(field: Field, c: int, e: int, s: int, t: int) -> int:
+    """The binary quadratic form s^2 + c st + e t^2."""
+    return field.add(field.add(field.mul(s, s),
+                               field.mul(c, field.mul(s, t))),
+                     field.mul(e, field.mul(t, t)))
 
 
 def _anisotropic_form(field: Field) -> tuple[int, int] | None:
     """First (c, e) with s^2 + c st + e t^2 nonzero off the origin."""
     for c in field.elements():
         for e in field.elements():
-            values = (field.add(field.add(field.mul(s, s),
-                                          field.mul(c, field.mul(s, t))),
-                                field.mul(e, field.mul(t, t)))
+            values = (_form(field, c, e, s, t)
                       for s in field.elements() for t in field.elements()
                       if s or t)
             if all(values):
@@ -154,10 +159,7 @@ def _quadric_columns(field: Field) -> tuple[tuple[int, ...], ...]:
     cols = [(0, 1, 0, 0)]
     for t in field.elements():
         for s in field.elements():
-            b = field.add(field.add(field.mul(s, s),
-                                    field.mul(c, field.mul(s, t))),
-                          field.mul(e, field.mul(t, t)))
-            cols.append((1, b, s, t))
+            cols.append((1, _form(field, c, e, s, t), s, t))
     return tuple(cols)
 
 

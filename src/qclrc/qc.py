@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .algebra import Factorization, Field, Poly, factor_unity, field_trace
-from .codes import (Budget, CyclicCode, LinearCode, min_distance, rref,
+from .algebra import Factorization, Field, Poly, factor_unity, trace_map
+from .codes import (Budget, CyclicCode, LinearCode, min_distance,
                     subcode_from_bz, subcode_distance)
 from .errors import InternalConsistencyError
 
@@ -244,21 +244,18 @@ def trace_codeword(dec: ConstituentDecomposition,
                 f"{info.poly}")
     F = dec.field
     m = fact.m
-    active = [(info, lam) for info, lam in zip(fact.factors, rows)
-              if any(lam)]
-    out = []
-    for g in range(m):
-        row = []
-        for j in range(dec.ell):
-            acc = 0
-            for info, lam in active:
-                if lam[j] == 0:
-                    continue
-                z = info.ext_field.mul(lam[j], info.root_power(m - g))
-                acc = F.add(acc, field_trace(z, info.ext_field, F))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = [[0] * m for _ in range(dec.ell)]
+    for info, lam in zip(fact.factors, rows):
+        if not any(lam):
+            continue
+        E = info.ext_field
+        trace = trace_map(E, F)
+        powers = [info.root_power(m - g) for g in range(m)]
+        for j, x in enumerate(lam):
+            if x:
+                traces = list(map(trace, E.scale_row(x, powers)))
+                cols[j] = F.axpy(cols[j], 1, traces)
+    return tuple(zip(*cols))
 
 
 def generator_matrix(dec: ConstituentDecomposition
@@ -270,6 +267,18 @@ def generator_matrix(dec: ConstituentDecomposition
     field; each scaled row yields one trace codeword.  The rank is
     verified to equal the decomposition's dimension.
     """
+    return _trace_construction(dec)[0]
+
+
+def rebuild_code(dec: ConstituentDecomposition) -> LinearCode:
+    """The decomposition's code as a plain linear code over F_q."""
+    return _trace_construction(dec)[1]
+
+
+def _trace_construction(dec: ConstituentDecomposition
+                        ) -> tuple[tuple[tuple[int, ...], ...], LinearCode]:
+    """generator_matrix's rows and the code they span, from one row
+    reduction that also checks the rank."""
     fact = dec.fact
     zero_rows: list[tuple[int, ...]] = [
         (0,) * dec.ell for _ in range(fact.num_factors)]
@@ -278,22 +287,15 @@ def generator_matrix(dec: ConstituentDecomposition
         E = info.ext_field
         for v in code.rows:
             for t in range(info.degree):
-                rt = info.root_power(t)
-                lam = tuple(E.mul(rt, x) for x in v)
                 rows = list(zero_rows)
-                rows[i] = lam
+                rows[i] = E.scale_row(info.root_power(t), v)
                 out.append(flatten(trace_codeword(dec, rows)))
-    k = dec.dimension()
-    _, rank, _ = rref(out, dec.field)
-    if rank != k:
+    code = LinearCode.from_rows(dec.field, dec.n, out)
+    if code.k != dec.dimension():
         raise InternalConsistencyError(
-            f"trace construction produced rank {rank}, expected {k}")
-    return tuple(out)
-
-
-def rebuild_code(dec: ConstituentDecomposition) -> LinearCode:
-    """The decomposition's code as a plain linear code over F_q."""
-    return LinearCode.from_rows(dec.field, dec.n, generator_matrix(dec))
+            f"trace construction produced rank {code.k}, expected "
+            f"{dec.dimension()}")
+    return tuple(out), code
 
 
 # ---------------------------------------------------------------------------

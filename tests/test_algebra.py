@@ -7,8 +7,11 @@ irreducibility, direct power sums for traces).
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from qclrc import algebra
 from qclrc.algebra import (
     CyclotomicCoset,
     Poly,
@@ -174,7 +177,91 @@ def test_frobenius_fixes_exactly_base():
 
 
 # ---------------------------------------------------------------------------
+# row kernels
+
+
+def _kernel_fields():
+    """F_2, F_5, F_4, F_8, F_9, F_27, F_81, and the F_5^5 of factor_unity(11,
+    5), the constituent field of the 4.6 reference case."""
+    big = factor_unity(11, 5).factors[0].ext_field
+    assert big.order == 5 ** 5
+    return [make_field(q) for q in (2, 5, 4, 8, 9, 27, 81)] + [big]
+
+
+def _scalar_mul(F, a, b):
+    return (a * b) % F.char if F.is_prime else F._mul_raw(a, b)
+
+
+@pytest.mark.parametrize("table_max", [None, 16])
+def test_row_kernel_matches_entrywise(rng, monkeypatch, table_max):
+    """axpy and scale_row against add and a table-free product, entry by
+    entry, with c = 0 and c = 1 among the scalars; table_max = 16 sends
+    every field above order 16 to the scalar fallback."""
+    if table_max is not None:
+        monkeypatch.setattr(algebra, "_TABLE_MAX", table_max)
+    for F in _kernel_fields():
+        q = F.order
+        for trial in range(40):
+            n = rng.randrange(2, 12)
+            u = [rng.randrange(q) for _ in range(n)]
+            v = [rng.randrange(q) for _ in range(n)]
+            # zero entries of u and of v, whatever the field's size
+            u[0], v[0], v[1] = 0, rng.randrange(1, q), 0
+            c = (0, 1, rng.randrange(q), q - 1)[trial % 4]
+            want = [F.add(a, _scalar_mul(F, c, b)) for a, b in zip(u, v)]
+            assert F.axpy(u, c, v) == want, (F, c)
+            assert F.scale_row(c, v) == [_scalar_mul(F, c, b) for b in v]
+        # u + c*v is zero where u = -c*v: the sum that cancels
+        c = rng.randrange(1, q)
+        v = list(range(q))
+        u = [F.neg(_scalar_mul(F, c, b)) for b in v]
+        assert F.axpy(u, c, v) == [0] * q
+        if table_max is not None and q > table_max:
+            assert F._exp is None, F
+
+
+def test_field_with_picked_kernels_pickles():
+    for F in _kernel_fields():
+        F.axpy([1], 1, [1])
+        G = pickle.loads(pickle.dumps(F))
+        assert G == F
+        assert G.axpy([1, 0], 1, [1, 1]) == F.axpy([1, 0], 1, [1, 1])
+
+
+# ---------------------------------------------------------------------------
 # traces
+
+
+def _power_sum_trace(z, sup, sub):
+    """The definition: sum of z^(|sub|^t) for t below [sup : sub]."""
+    acc, w = 0, z
+    for _ in range(sup.degree // sub.degree):
+        acc = sup.add(acc, w)
+        w = sup.pow(w, sub.order)
+    return acc
+
+
+def test_trace_table_matches_power_sum():
+    f4 = make_field(4)
+    f64 = make_extension(f4, find_irreducible(f4, 3))
+    f81 = make_field(81)
+    f3125 = factor_unity(11, 5).factors[0].ext_field
+    for sup, sub in ((f64, f4), (f81, make_field(3)),
+                     (f3125, make_prime_field(5))):
+        got = [field_trace(z, sup, sub) for z in sup.elements()]
+        assert got == [_power_sum_trace(z, sup, sub)
+                       for z in sup.elements()], (sup, sub)
+        assert set(got) == set(sub.elements())
+    assert algebra._trace_table.cache_info().currsize == 3
+
+
+def test_trace_above_table_max_uses_power_sum(monkeypatch):
+    monkeypatch.setattr(algebra, "_TABLE_MAX", 16)
+    f81 = make_field(81)
+    f3 = make_field(3)
+    assert [field_trace(z, f81, f3) for z in f81.elements()] == \
+        [_power_sum_trace(z, f81, f3) for z in f81.elements()]
+    assert algebra._trace_table.cache_info().currsize == 0
 
 
 def test_trace_linear_zero():
@@ -232,6 +319,30 @@ def test_poly_divmod_roundtrip(rng):
         quo, rem = a.divmod(b)
         assert quo.mul(b).add(rem) == a
         assert rem.degree < b.degree or rem.is_zero()
+
+
+def test_poly_arithmetic_on_each_row_kernel(rng):
+    """mul against the schoolbook sum of scalar products, and divmod
+    round trips, over F_8, F_9 and F_7 (table, Zech and mod-p rows)."""
+    for F in (make_field(8), make_field(9), make_field(7)):
+        q = F.order
+        for _ in range(60):
+            a = poly_of(F, [rng.randrange(q) for _ in range(rng.randrange(8))])
+            b = poly_of(F, [rng.randrange(q)
+                            for _ in range(rng.randrange(1, 5))])
+            prod = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+            for i, x in enumerate(a.coeffs):
+                for j, y in enumerate(b.coeffs):
+                    prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+            assert a.mul(b) == poly_of(F, prod)
+            assert a.sub(b).add(b) == a
+            assert a.add(a.neg()).is_zero()
+            if b.is_zero():
+                continue
+            quo, rem = a.divmod(b)
+            assert quo.mul(b).add(rem) == a
+            assert rem.degree < b.degree
+            assert a.mod(b) == rem
 
 
 def test_poly_reciprocal():

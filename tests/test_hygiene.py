@@ -6,7 +6,9 @@ function, class and assigned name and every method is referenced
 somewhere in src/, tests/ or perfbench/ besides its own definition.
 Distance budgets travel as one ``codes.Budget`` value: no function takes
 or passes the old ``enum_budget``/``rank_budget`` keywords, and only
-codes.py reads a budget's fields.
+codes.py reads a budget's fields.  Row operations go through the field's
+row kernels: no comprehension outside the ``Field`` class combines a field
+``add``/``sub`` with a ``mul`` entry by entry.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ PACKAGE = ROOT / "src" / "qclrc"
 SEARCHED = ("src", "tests", "perfbench")
 OLD_BUDGET_KEYWORDS = {"enum_budget", "rank_budget"}
 BUDGET_FIELDS = {"enum", "rank"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -124,3 +127,24 @@ def test_budget_travels_as_one_value():
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert old == []
     assert reads == []
+
+
+def test_row_loops_use_the_kernel():
+    """A comprehension that calls both ``.add`` or ``.sub`` and ``.mul``
+    is a row operation written entry by entry; it belongs in
+    ``Field.axpy``/``Field.scale_row``, whose class is exempt."""
+    found = []
+    for path in _modules():
+        tree = _tree(path)
+        exempt = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Field"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not isinstance(node, COMPREHENSIONS) or id(node) in exempt:
+                continue
+            called = {call.func.attr for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Attribute)}
+            if called & {"add", "sub"} and "mul" in called:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+from qclrc import codes
 from qclrc.algebra import (FactorInfo, Poly, factor_unity, make_field,
                            unity_context)
 from qclrc.codes import (Budget, LinearCode, min_distance, rref,
@@ -208,6 +209,26 @@ def test_evaluation_disagreeing_with_divisibility_is_caught(monkeypatch,
         evaluate_constituents(code, fact)
 
 
+def test_evaluation_reduces_each_entry_once(monkeypatch):
+    """One division per generator entry and factor: FactorInfo.eval takes
+    the remainder as it is."""
+    F = make_field(3)
+    fact = factor_unity(13, F)
+    assert {info.degree for info in fact.factors} == {1, 3}
+    code = QCCode(F, 13, 2, (
+        (Poly(F, [1, 2, 0, 1] * 3), Poly(F, [2] * 13)),
+        (Poly(F, [0, 1] * 6), Poly.one(F))))
+    divide = Poly._divide
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return divide(a, b)
+    monkeypatch.setattr(Poly, "_divide", counted)
+    evaluate_constituents(code, fact)
+    assert len(calls) == 2 * 2 * fact.num_factors
+
+
 def test_evaluate_rejects_mismatched_factorization():
     fact = factor_unity(5, 2)
     code = QCCode(F2, 7, 1, ((Poly.one(F2),),))
@@ -279,6 +300,31 @@ def test_generator_matrix_fixture():
     assert shift_invariance_check(G, 3, F2)
     code = rebuild_code(dec)
     assert code.k == 15
+
+
+def test_rebuild_code_reduces_the_trace_rows_once(monkeypatch):
+    dec = example_dec_21_15()
+    G = generator_matrix(dec)
+    calls = []
+    reduce_rows = codes.rref
+
+    def counted(rows, field):
+        calls.append(len(rows))
+        return reduce_rows(rows, field)
+    monkeypatch.setattr(codes, "rref", counted)
+    code = rebuild_code(dec)
+    assert calls == [15]
+    assert code == LinearCode.from_rows(F2, 21, G)
+
+
+def test_trace_construction_checks_its_rank(monkeypatch):
+    dec = example_dec_21_15()
+    monkeypatch.setattr(ConstituentDecomposition, "dimension",
+                        lambda self: 14)
+    for build in (generator_matrix, rebuild_code):
+        with pytest.raises(InternalConsistencyError,
+                           match="rank 15, expected 14"):
+            build(dec)
 
 
 def test_generator_matrix_roundtrip(rng):
