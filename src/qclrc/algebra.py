@@ -72,7 +72,7 @@ class Field:
     """
 
     __slots__ = ("char", "base", "modulus", "order", "degree", "_sig",
-                 "_exp", "_log", "_zech", "axpy", "scale_row")
+                 "_hash", "_exp", "_log", "_zech", "axpy", "scale_row")
 
     def __init__(self, char: int, base: "Field | None",
                  modulus: "Poly | None"):
@@ -88,6 +88,9 @@ class Field:
             self.order = base.order ** step
             self.degree = base.degree * step
             self._sig = base._sig + (modulus.coeffs,)
+        # Every cache keyed by a field, a code or a polynomial hashes the
+        # field; the nested signature is hashed once here.
+        self._hash = hash(self._sig)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
@@ -98,7 +101,7 @@ class Field:
         return isinstance(other, Field) and self._sig == other._sig
 
     def __hash__(self) -> int:
-        return hash(self._sig)
+        return self._hash
 
     def __repr__(self) -> str:
         if self.degree == 1:

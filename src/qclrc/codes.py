@@ -26,10 +26,16 @@ the enumeration budget bounds q^k.
 
 The parity search runs in layers of increasing weight w.  Each layer is
 decided by one of two exact searches, whichever is estimated cheaper for
-(q, n, k, w): a collision of half-supports, costed by the syndromes it
-tabulates and streams, C(n, ceil(w/2)) (q-1)^(ceil(w/2)-1) +
-C(n, floor(w/2)) (q-1)^floor(w/2) entries; or one rank check per w-subset
-of columns, costed at C(n, w) w^2 (n - k) units.
+(q, n, k, w): a collision of half-supports compared up to a scalar, or
+one rank check per w-subset of columns, costed at C(n, w) w^2 (n - k)
+units.  The collision search scales every half's syndrome so that its
+first nonzero coordinate is 1, tabulates the smaller half, b = floor(w/2)
+columns from position a = ceil(w/2) on, C(n-a, b) (q-1)^(b-1) keys, and
+streams the larger, C(n-b, a) (q-1)^(a-1) keys (only those starting
+below a when w is even), stopping at the first hit.  It is costed by
+those keys plus the n (q-1) column multiples that halves of two or more
+columns need (``_collision_entries``); layer 2 compares n scaled columns
+on every field.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -70,7 +76,7 @@ _PY_CHUNK = 1 << 8
 # one elimination of k^2 * n units per information set, charged at the
 # rank-check rate; layer w of the parity search does C(n, w) * w^2 *
 # (n - k) units by rank checks, or tabulates and streams the entries
-# counted in _layer_costs by collision.  Measured on 2-core x86-64,
+# counted in _collision_entries by collision.  Measured on 2-core x86-64,
 # Python 3.11, numpy 2.4, one BLAS thread.  Projective passes over random
 # [2k, k] and [3k, k] codes (F_2 k <= 18 up to F_256 k = 2): 1.9-5.2 ns
 # over prime fields (median 3.4; float matrix product), 18-25 ns on the
@@ -83,17 +89,21 @@ _PY_CHUNK = 1 << 8
 # 330-1540 ns over extension fields.  The rank and collision figures are
 # medians over layers searched to the end (a layer that finds its word
 # stops early), over F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125
-# (layers of at least 5000 entries or 50000 units): collision 213 ns per
-# entry in characteristic 2, where addition is xor (105-422), and 431 ns
-# in odd characteristic (222-714).  Rank checks, one rref per subset on every
-# field (layers of at most 20000 subsets, two draws of random codes):
-# 259-261 ns over prime fields (128-494), 342-386 ns over extension
-# fields (113-1118), 301-310 ns over both.
+# (layers of at least 5000 entries or 50000 units).  Collision, the
+# normalisation of every key included (random codes of two seeds, 24-26
+# layers in characteristic 2 and 57 in odd characteristic per seed,
+# three runs): medians 376-416 ns per entry in characteristic 2, where
+# addition is xor (141-863; over F_2, where a key is one xor, 220-379),
+# and 598-735 ns in odd characteristic (279-1726; the most over F_3,
+# where one key in two needs a scaling of its own).  Rank checks, one rref per
+# subset on every field (layers of at most 20000 subsets, two draws of
+# random codes): 259-261 ns over prime fields (128-494), 342-386 ns over
+# extension fields (113-1118), 301-310 ns over both.
 _ENUM_NS = {"prime": 3.5, "table": 20.0, "python": 1100.0}
 _BLOCK_NS = 60000.0
 _RANK_NS = 300.0
-_COLLISION_NS_CHAR2 = 210.0
-_COLLISION_NS_ODD = 430.0
+_COLLISION_NS_CHAR2 = 400.0
+_COLLISION_NS_ODD = 700.0
 
 
 def rref(rows: Iterable[Sequence[int]], field: Field
@@ -522,36 +532,39 @@ def _syndrome_packing(F: Field, rho: int):
         return packed
 
     ones = ((1 << (width * rho)) - 1) // ((1 << bits) - 1)
-    bias = ((1 << (bits - 1)) - p) * ones
-    top = (1 << (bits - 1)) * ones
+    shift = bits - 1
+    bias = ((1 << shift) - p) * ones
+    top = (1 << shift) * ones
 
     def add(x: int, y: int) -> int:
         s = x + y
-        return s - (((s + bias) & top) >> (bits - 1)) * p
+        return s - (((s + bias) & top) >> shift) * p
 
     return pack, width, add
 
 
-def _column_multiples(F: Field, cols: list[tuple[int, ...]], packing,
-                      count: int) -> list[list[int]]:
-    """Packed c * h for the nonzero c = 1, ..., count (field indices) of
-    every column h.
+def _column_multiples(F: Field, cols: Sequence[Sequence[int]],
+                      units: list[int], packing) -> list[list[int]]:
+    """Packed c * h for every nonzero c (field indices 1..q-1) of every
+    column h, given the packed columns ``units``.
 
     c * h is F_p-linear in the digits of c, so only the multiples by a
-    single power p^i are computed in the field; any other c * h adds the
-    multiple of c's lowest nonzero place to that of c minus that place.
+    single power p^i > 1 are computed in the field; any other c * h adds
+    the multiple of c's lowest nonzero place to that of c minus that
+    place.
     """
     pack, width, add = packing
-    places = [0] * (count + 1)
-    for c in range(1, count + 1):
+    q, p = F.order, F.char
+    places = [0] * q
+    for c in range(1, q):
         place = 1
-        while c % (place * F.char) == 0:
-            place *= F.char
+        while c % (place * p) == 0:
+            place *= p
         places[c] = place
     out = []
-    for col in cols:
-        mult = [0] * (count + 1)
-        for c in range(1, count + 1):
+    for col, unit in zip(cols, units):
+        mult = [0, unit] + [0] * (q - 2)
+        for c in range(2, q):
             place = places[c]
             mult[c] = add(mult[c - place], mult[place]) if place != c \
                 else sum(pack(F.mul(c, v)) << (width * r)
@@ -560,78 +573,225 @@ def _column_multiples(F: Field, cols: list[tuple[int, ...]], packing,
     return out
 
 
-def _weighted_prefixes(multiples: list[list[int]], add, size: int, lo: int,
-                       hi: int, normalised: bool
-                       ) -> list[tuple[int, int, int]]:
-    """(syndrome, support mask, last position) of every choice of size
-    positions in range(lo, hi - 1) with nonzero coefficients, leaving
-    room for one more position below hi; with normalised the first
-    coefficient is 1."""
-    level = [(0, 0, lo - 1)]
-    for t in range(size):
-        nxt = []
-        for s, mask, last in level:
-            for j in range(last + 1, hi - size + t):
-                bit = 1 << j
-                for v in multiples[j][:1] if normalised and t == 0 \
-                        else multiples[j]:
-                    nxt.append((add(s, v), mask | bit, j))
-        level = nxt
-    return level
+@lru_cache(maxsize=None)
+def _scalar_logs(F: Field) -> tuple[tuple[int, ...], dict[int, int],
+                                     tuple[tuple[int, int], ...], int]:
+    """Discrete logarithms to the base of the multiplicative generator g,
+    for the collision search: the powers g^e for e = 0..q-2 (field
+    indices); the exponent of every nonzero value as packed by
+    ``_syndrome_packing``; the pairs (e, log(1 - g^e)) for e = 1..q-2;
+    and log(-1)."""
+    g = F.multiplicative_generator()
+    exp = [1]
+    for _ in range(F.order - 2):
+        exp.append(F.mul(exp[-1], g))
+    log = {x: e for e, x in enumerate(exp)}
+    pack = _syndrome_packing(F, 1)[0]
+    return (tuple(exp), {pack(x): e for e, x in enumerate(exp)},
+            tuple((e, log[F.sub(1, x)]) for e, x in enumerate(exp) if e),
+            log[F.neg(1)])
 
 
-def _collision_layer(multiples: list[list[int]], add, w: int) -> bool:
-    """Whether some w parity-check columns are dependent, given that no
-    fewer are, by collision of half-supports (Stern 1989).
+class _Syndromes:
+    """The parity-check columns of one code, for the collision search.
 
-    A word of weight w, scaled so its first coefficient is 1, splits into
-    its first a = ceil(w/2) positions and its last b = floor(w/2), and
-    the two halves' syndromes cancel.  The syndromes of all normalised
-    a-subsets below n - b go into a table, and those of all weighted
-    b-subsets from a on are streamed against it; since the coefficients
-    range over every nonzero value, the streamed set is closed under
-    negation.  Any hit between disjoint halves is a nonzero word of
-    weight w.  Halves that overlap span fewer than w positions, so their
-    difference is the zero word: the same support with the same
-    coefficients, a half meeting itself, which only even w allows and
-    which is skipped.  A skip never hides a word: the table keeps the
-    first of equal syndromes, and a word's left half comes before its
-    right half.  For even w two table entries with one syndrome differ
-    by a nonzero word of weight at most 2a = w, which settles the layer
-    at once.
+    Scaling a column changes no dependency among the columns, so each
+    column h_j is scaled to have first nonzero coordinate 1 and packed by
+    ``_syndrome_packing``: ``units[j]``, whose first nonzero coordinate
+    is ``leads[j]``.  The multiples g^e h_j for e = 0..q-2 of every
+    column, g the multiplicative generator, are built on first use
+    (``multiples``), that is only for layers whose halves have two or
+    more columns.
     """
-    n = len(multiples)
+
+    def __init__(self, F: Field, cols: Sequence[Sequence[int]]):
+        rho = len(cols[0])
+        self.field = F
+        self.packing = _syndrome_packing(F, rho)
+        pack, self.width, self.add = self.packing
+        self.cols, self.units, self.leads = [], [], []
+        for col in cols:
+            lead = next((r for r, v in enumerate(col) if v), rho)
+            if lead < rho and col[lead] != 1:
+                col = F.scale_row(F.inv(col[lead]), col)
+            self.cols.append(col)
+            self.units.append(sum(pack(v) << (self.width * r)
+                                  for r, v in enumerate(col)))
+            self.leads.append(lead)
+        self._multiples = None
+
+    def multiples(self) -> list[list[int]]:
+        """The packed g^e h_j, indexed [j][e]; also sets ``tied[j]``, the
+        (1 - g^e) h_j for e = 1..q-2 (see ``_successors``)."""
+        if self._multiples is None:
+            F = self.field
+            exp, _, ties, _ = _scalar_logs(F)
+            self._multiples = [
+                [m[x - 1] for x in exp] for m in
+                _column_multiples(F, self.cols, self.units, self.packing)]
+            self.tied = [[H[t] for _, t in ties] for H in self._multiples]
+        return self._multiples
+
+    def lead(self, s: int) -> tuple[int, int]:
+        """(r, e) for a packed syndrome s != 0: its first nonzero
+        coordinate is r, with value g^e."""
+        width = self.width
+        r = ((s & -s).bit_length() - 1) // width
+        return r, _scalar_logs(self.field)[1][s >> width * r
+                                              & ((1 << width) - 1)]
+
+
+def _halves(syn: _Syndromes, size: int, lo: int, hi: int, stop: int):
+    """Lists of the keys of the half-supports of ``size`` positions in
+    range(lo, hi) whose first position is below stop, one list per first
+    position and one key per class of nonzero coefficient vectors up to
+    a common scalar: C(hi - lo, size) (q - 1)^(size - 1) keys when stop
+    >= hi, or the one key 0 of the empty half when size is 0.  A key is
+    the half's syndrome scaled so that its first nonzero coordinate is
+    1."""
+    if size == 0:
+        yield [0]
+        return
+    stop = min(stop, hi - size + 1)
+    if size == 1:
+        yield syn.units[lo:stop]
+        return
+    mult, leads = syn.multiples(), syn.leads
+    for j in range(lo, stop):
+        keys: list[int] = []
+        _complete(syn, mult[j], leads[j], j, size - 1, hi, keys)
+        yield keys
+
+
+def _successors(syn: _Syndromes, P: list[int], lead: int, j: int
+                ) -> list[tuple[list[int], int]]:
+    """The q - 1 classes of P + c h_j (c != 0), given a normalised P
+    whose first nonzero coordinate, 1, is ``lead``: the multiples
+    (indexed by exponent, like P's) and the first nonzero coordinate of
+    each class's normalised form.
+
+    With h_j's first nonzero coordinate at r, the normalised forms are
+    P + c h_j if lead < r, and c P + h_j if lead > r.  If lead = r, they
+    are u P + (1 - u) h_j for u != 0, 1, and P - h_j scaled, whose first
+    nonzero coordinate is past r.
+    """
+    add, q1 = syn.add, len(P)
+    H, r = syn.multiples()[j], syn.leads[j]
+    if q1 == 1:
+        # over F_2 every nonzero syndrome is normalised
+        return [([add(P[0], H[0])], r)]
+    if r > lead:
+        forms = [(0, e, lead) for e in range(q1)]
+    elif r < lead:
+        forms = [(e, 0, r) for e in range(q1)]
+    else:
+        ties, neg_one = _scalar_logs(syn.field)[2:]
+        forms = [(e, t, lead) for e, t in ties]
+        s = add(P[0], H[neg_one])
+        if s:
+            r, e = syn.lead(s)
+            forms.append((-e % q1, (neg_one - e) % q1, r))
+    return [([add(u, v) for u, v in zip(P[x:] + P[:x], H[y:] + H[:y])], r)
+            for x, y, r in forms]
+
+
+def _complete(syn: _Syndromes, P: list[int], lead: int, last: int,
+              more: int, hi: int, keys: list[int]) -> None:
+    """Append to keys the key of every half that extends the normalised
+    prefix P (``_successors``) by ``more`` positions in (last, hi)."""
+    add, p, units = syn.add, P[0], syn.units
+    if len(P) == 1:
+        # over F_2 every nonzero syndrome is normalised: the keys are sums
+        if more == 1:
+            keys.extend(map(add, repeat(p), units[last + 1:hi]))
+            return
+        if more == 2:
+            for j in range(last + 1, hi - 1):
+                keys.extend(map(add, repeat(add(p, units[j])),
+                                units[j + 1:hi]))
+            return
+    if more > 1:
+        for j in range(last + 1, hi - more + 1):
+            for Q, r in _successors(syn, P, lead, j):
+                _complete(syn, Q, r, j, more - 1, hi, keys)
+        return
+    # the keys of the forms _successors lists, without their multiples
+    push, rest = keys.append, P[1:]
+    neg_one = _scalar_logs(syn.field)[3]
+    for H, T, r in zip(syn.multiples()[last + 1:hi], syn.tied[last + 1:hi],
+                       syn.leads[last + 1:hi]):
+        if r > lead:
+            for v in H:
+                push(add(p, v))
+        elif r < lead:
+            h = H[0]
+            for u in P:
+                push(add(u, h))
+        else:
+            for u, v in zip(rest, T):
+                push(add(u, v))
+            s = add(p, H[neg_one])
+            if s:
+                e = syn.lead(s)[1]
+                push(add(P[-e], H[neg_one - e]))
+
+
+def _collision_layer(syn: _Syndromes, w: int) -> bool:
+    """Whether some w parity-check columns are dependent, given that no
+    fewer are, by collision of half-supports (Stern 1989), compared up to
+    a scalar.
+
+    A word of weight w splits into its first a = ceil(w/2) positions and
+    its last b = floor(w/2), and the two halves' syndromes are
+    proportional, so their keys (``_halves``) are equal.  The keys of the
+    b-halves from position a on go into a table, and those of the
+    a-halves below n - b are streamed against it; in an even layer only
+    the a-halves that start below a, since the others are table entries.
+
+    Given that no fewer than w columns are dependent, two halves with one
+    key are distinct supports or coefficient classes and combine to a
+    nonzero word of weight at most the sum of their sizes, so exactly w,
+    on disjoint supports.  Two table entries with one key settle an even
+    layer; in an odd layer they would be a lighter word, so they cannot
+    occur.  A streamed half differs from every table entry, in size (odd
+    w) or in its first position (even w), so a stream hit settles the
+    layer.  Conversely the right half of a word of weight w is in the
+    table, and its left half is streamed, or in an even layer is a
+    second table entry with the same key.
+    """
+    n = len(syn.units)
     a, b = (w + 1) // 2, w // 2
-    table: dict[int, int] = {}
-    for s, mask, last in _weighted_prefixes(multiples, add, a - 1, 0, n - b,
-                                            True):
-        for j in range(last + 1, n - b):
-            support = mask | 1 << j
-            for v in multiples[j] if a > 1 else multiples[j][:1]:
-                if table.setdefault(add(s, v), support) != support \
-                        and a == b:
-                    return True
-    if b == 0:
-        return 0 in table
-    for s, mask, last in _weighted_prefixes(multiples, add, b - 1, a, n,
-                                            False):
-        for j in range(last + 1, n):
-            support = mask | 1 << j
-            for v in multiples[j]:
-                hit = table.get(add(s, v))
-                if hit is not None and hit != support:
-                    return True
-    return False
+    table: set[int] = set()
+    for keys in _halves(syn, b, a, n, n):
+        size = len(table)
+        table.update(keys)
+        if len(table) - size < len(keys) and a == b:
+            return True
+    return any(not table.isdisjoint(keys)
+               for keys in _halves(syn, a, 0, n - b, a if a == b else n))
+
+
+def _collision_entries(q: int, n: int, w: int) -> int:
+    """Entries the collision search visits in a layer w that finds
+    nothing, with a = ceil(w/2) and b = floor(w/2): C(n - a, b) (q -
+    1)^(b - 1) table keys (one, the empty half, when b = 0); C(n - b, a)
+    (q - 1)^(a - 1) streamed keys in an odd layer, and C(n - a, a) - C(n
+    - 2a, a) times (q - 1)^(a - 1) in an even one; and the n (q - 1)
+    column multiples when a >= 2.  A later layer reuses the multiples,
+    but each layer is charged them."""
+    a, b = (w + 1) // 2, w // 2
+    table = comb(n - a, b) * (q - 1) ** (b - 1) if b else 1
+    starts = comb(n - b, a) - (comb(n - b - a, a) if a == b else 0)
+    stream = starts * (q - 1) ** (a - 1)
+    return table + stream + (n * (q - 1) if a > 1 else 0)
 
 
 def _layer_costs(F: Field, n: int, k: int, w: int) -> tuple[float, float]:
     """Estimated nanoseconds of layer w of the parity search: by collision
-    (table entries) and by rank checks (C(n, w) * w^2 * (n - k) units)."""
-    q = F.order
-    a, b = (w + 1) // 2, w // 2
-    entries = comb(n, a) * (q - 1) ** (a - 1) + comb(n, b) * (q - 1) ** b
-    collision = entries * (_COLLISION_NS_CHAR2 if F.char == 2
-                           else _COLLISION_NS_ODD)
+    (``_collision_entries``) and by rank checks (C(n, w) * w^2 * (n - k)
+    units)."""
+    collision = _collision_entries(F.order, n, w) * (
+        _COLLISION_NS_CHAR2 if F.char == 2 else _COLLISION_NS_ODD)
     rank = comb(n, w) * w * w * (n - k) * _RANK_NS
     return collision, rank
 
@@ -648,12 +808,11 @@ def _min_weight_parity(code: LinearCode, budget: Budget) -> int:
     """
     F = code.field
     H = code.dual().rows
-    rho = len(H)
     n, k = code.n, code.k
     cols = [tuple(row[j] for row in H) for j in range(n)]
-    packing = multiples = None
+    syn = None
     checked = 0
-    for w in range(1, rho + 2):
+    for w in range(1, len(H) + 2):
         checked += comb(n, w)
         if checked > budget.rank:
             raise ResourceLimitError(
@@ -661,11 +820,8 @@ def _min_weight_parity(code: LinearCode, budget: Budget) -> int:
                 f"{checked} subset-rank checks, budget is {budget.rank}")
         collision_ns, rank_ns = _layer_costs(F, n, k, w)
         if collision_ns < rank_ns:
-            count = 1 if w == 1 else F.order - 1
-            if multiples is None or len(multiples[0]) < count:
-                packing = packing or _syndrome_packing(F, rho)
-                multiples = _column_multiples(F, cols, packing, count)
-            found = _collision_layer(multiples, packing[2], w)
+            syn = syn or _Syndromes(F, cols)
+            found = _collision_layer(syn, w)
         else:
             found = _rank_layer(F, cols, w)
         if found:

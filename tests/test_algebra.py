@@ -225,6 +225,8 @@ def test_field_with_picked_kernels_pickles():
         F.axpy([1], 1, [1])
         G = pickle.loads(pickle.dumps(F))
         assert G == F
+        # hashed once, to the value of the signature: set orders stay put
+        assert hash(G) == hash(F) == hash(F._sig)
         assert G.axpy([1, 0], 1, [1, 1]) == F.axpy([1, 0], 1, [1, 1])
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from qclrc import codes
+from qclrc import codes, construct
 from qclrc.algebra import Poly, factor_unity, make_field
 from qclrc.codes import (
     Budget,
@@ -361,11 +361,8 @@ def parity_columns(code):
 
 
 def collision_layer(code, w):
-    cols = parity_columns(code)
-    packing = codes._syndrome_packing(code.field, len(cols[0]))
-    multiples = codes._column_multiples(code.field, cols, packing,
-                                        code.field.order - 1)
-    return codes._collision_layer(multiples, packing[2], w)
+    syndromes = codes._Syndromes(code.field, parity_columns(code))
+    return codes._collision_layer(syndromes, w)
 
 
 @pytest.mark.parametrize("q, rows, d", [
@@ -389,7 +386,7 @@ def test_collision_layer_skips_halves_meeting_themselves(q, rows, d):
 
 @pytest.mark.parametrize("choice", ["collision", "rank", "mixed"])
 def test_parity_layers_agree_with_enumeration(rng, monkeypatch, choice):
-    fields = [make_field(q) for q in (2, 3, 4, 5, 8, 9)]
+    fields = [make_field(q) for q in (2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 125)]
 
     def costs(*layer):
         # (collision, rank) estimates that force the choice in each layer
@@ -398,17 +395,94 @@ def test_parity_layers_agree_with_enumeration(rng, monkeypatch, choice):
         return (0, 1) if choice == "collision" else (1, 0)
 
     monkeypatch.setattr(codes, "_layer_costs", costs)
-    seen = set()
-    for _ in range(120):
+    seen, orders = set(), set()
+    for _ in range(300):
         field = rng.choice(fields)
-        n = rng.randint(3, 10)
-        code = random_code(rng, field, n, 4)
+        n = rng.randint(3, 12)
+        code = random_code(rng, field, n, rng.choice([2, 4]))
         if code.k in (0, n) or field.order ** code.k > 1 << 14:
             continue
         d = min_distance(code, strategy="enumeration")
+        # forced collision layers up to d stay small
+        if sum(codes._collision_entries(field.order, n, w)
+               for w in range(1, d + 1)) > 20000:
+            continue
         assert min_distance(code, strategy="parity") == d
-        seen.add((field.char == 2, d % 2))
-    assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+        seen.add((field.char == 2, d))
+        orders.add(field.order)
+    assert {(c, d) for c in (True, False) for d in range(1, 7)} <= seen
+    assert orders == {field.order for field in fields}
+
+
+def test_power_column_code_over_f3125_decides_layer_2_by_collision(
+        monkeypatch):
+    # a constituent the 4.6 scan verifies: layer 2 compares normalised
+    # columns and builds none of the 27 * 3124 column multiples
+    F = make_field(3125)
+    code = construct._power_column_code(F, 27, 24, 4)
+    layers = []
+
+    def record(name):
+        kernel = getattr(codes, name)
+
+        def run(*args):
+            found = kernel(*args)
+            layers.append((name, args[-1], found))
+            return found
+
+        monkeypatch.setattr(codes, name, run)
+
+    record("_collision_layer")
+    record("_rank_layer")
+    built = counting(monkeypatch, "_column_multiples")
+    assert distance_strategy(code) == "parity"
+    assert min_distance(code) == 4
+    assert ("_collision_layer", 2, False) in layers
+    assert not built
+    answers = [(w, found) for _, w, found in layers]
+    layers.clear()
+    monkeypatch.setattr(codes, "_layer_costs", lambda *layer: (1, 0))
+    assert min_distance(code, strategy="parity") == 4
+    assert {name for name, _, _ in layers} == {"_rank_layer"}
+    assert [(w, found) for _, w, found in layers] == answers
+
+
+@pytest.mark.parametrize("q, n, k, top", [
+    (2, 16, 4, 5), (3, 12, 3, 5), (4, 10, 3, 5), (16, 8, 3, 5),
+    # layer 5 would stream C(n - 2, 3) 3124^2 >= 3.9e7 keys
+    (3125, 6, 2, 4),
+])
+def test_collision_entries_match_layer_costs(rng, monkeypatch, q, n, k, top):
+    # layers 1..top of a code of distance above top find nothing, and
+    # visit exactly the table keys, streamed keys and column multiples
+    # that _layer_costs charges
+    F = make_field(q)
+    code = random_code(rng, F, n, k)
+    while code.k != k or min_distance(code, strategy="enumeration") <= top:
+        code = random_code(rng, F, n, k)
+    visited = []
+    halves, multiples = codes._halves, codes._column_multiples
+
+    def counted_halves(*args):
+        for keys in halves(*args):
+            visited.append(len(keys))
+            yield keys
+
+    def counted_multiples(*args):
+        out = multiples(*args)
+        visited.extend(map(len, out))
+        return out
+
+    monkeypatch.setattr(codes, "_halves", counted_halves)
+    monkeypatch.setattr(codes, "_column_multiples", counted_multiples)
+    rate = codes._COLLISION_NS_CHAR2 if F.char == 2 else \
+        codes._COLLISION_NS_ODD
+    for w in range(1, top + 1):
+        visited.clear()
+        syndromes = codes._Syndromes(F, parity_columns(code))
+        assert not codes._collision_layer(syndromes, w)
+        assert sum(visited) == codes._collision_entries(q, n, w)
+        assert codes._layer_costs(F, n, k, w)[0] == sum(visited) * rate
 
 
 def information_set_search(code):
