@@ -33,9 +33,10 @@ first nonzero coordinate is 1, tabulates the smaller half, b = floor(w/2)
 columns from position a = ceil(w/2) on, C(n-a, b) (q-1)^(b-1) keys, and
 streams the larger, C(n-b, a) (q-1)^(a-1) keys (only those starting
 below a when w is even), stopping at the first hit.  It is costed by
-those keys plus the n (q-1) column multiples that halves of two or more
-columns need (``_collision_entries``); layer 2 compares n scaled columns
-on every field.
+the keys of halves of two or more columns and the n (q-1) column
+multiples those halves need (``_collision_entries``); a half of one
+column is a packed column itself, so layer 2 compares n scaled columns
+on every field at next to no cost.
 """
 
 from __future__ import annotations
@@ -772,17 +773,20 @@ def _collision_layer(syn: _Syndromes, w: int) -> bool:
 
 
 def _collision_entries(q: int, n: int, w: int) -> int:
-    """Entries the collision search visits in a layer w that finds
-    nothing, with a = ceil(w/2) and b = floor(w/2): C(n - a, b) (q -
-    1)^(b - 1) table keys (one, the empty half, when b = 0); C(n - b, a)
-    (q - 1)^(a - 1) streamed keys in an odd layer, and C(n - a, a) - C(n
-    - 2a, a) times (q - 1)^(a - 1) in an even one; and the n (q - 1)
-    column multiples when a >= 2.  A later layer reuses the multiples,
-    but each layer is charged them."""
+    """Entries the collision search visits one by one in a layer w that
+    finds nothing, with a = ceil(w/2) and b = floor(w/2): C(n - a, b) (q
+    - 1)^(b - 1) table keys; C(n - b, a) (q - 1)^(a - 1) streamed keys
+    in an odd layer, and C(n - a, a) - C(n - 2a, a) times (q - 1)^(a -
+    1) in an even one; and the n (q - 1) column multiples when a >= 2.
+    Keys of halves of at most one column are not counted: they are
+    slices of the packed columns, which the table and the stream take
+    whole, at a small fraction of the cost of a key built from two or
+    more columns.  A later layer reuses the multiples, but each layer is
+    charged them."""
     a, b = (w + 1) // 2, w // 2
-    table = comb(n - a, b) * (q - 1) ** (b - 1) if b else 1
+    table = comb(n - a, b) * (q - 1) ** (b - 1) if b > 1 else 0
     starts = comb(n - b, a) - (comb(n - b - a, a) if a == b else 0)
-    stream = starts * (q - 1) ** (a - 1)
+    stream = starts * (q - 1) ** (a - 1) if a > 1 else 0
     return table + stream + (n * (q - 1) if a > 1 else 0)
 
 

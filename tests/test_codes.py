@@ -454,7 +454,7 @@ def test_power_column_code_over_f3125_decides_layer_2_by_collision(
 ])
 def test_collision_entries_match_layer_costs(rng, monkeypatch, q, n, k, top):
     # layers 1..top of a code of distance above top find nothing, and
-    # visit exactly the table keys, streamed keys and column multiples
+    # build exactly the table keys, streamed keys and column multiples
     # that _layer_costs charges
     F = make_field(q)
     code = random_code(rng, F, n, k)
@@ -463,9 +463,10 @@ def test_collision_entries_match_layer_costs(rng, monkeypatch, q, n, k, top):
     visited = []
     halves, multiples = codes._halves, codes._column_multiples
 
-    def counted_halves(*args):
-        for keys in halves(*args):
-            visited.append(len(keys))
+    def counted_halves(syndromes, size, *span):
+        # halves of one column are slices of the packed columns
+        for keys in halves(syndromes, size, *span):
+            visited.append(len(keys) if size > 1 else 0)
             yield keys
 
     def counted_multiples(*args):
