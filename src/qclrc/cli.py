@@ -14,6 +14,7 @@ JSON document (``--format structured``).  Exit status is 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -299,7 +300,10 @@ def _run_mindist(args: argparse.Namespace) -> tuple[Doc, list[str]]:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` starts
+    every call from a fresh namespace, so calls share no state."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"),
                         default="text",

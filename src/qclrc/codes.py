@@ -9,6 +9,14 @@ parity-check matrix), each guarded by an explicit budget.  Strategy
 those that fit their budgets (``distance_strategy``); both give the same
 answer, so the choice only moves the running time.
 
+Row reduction (``rref``) holds each row as one Python int, one byte per
+entry, over the fields whose sums work byte by byte: F_2^a for a <= 8,
+where rows add by xor, and the prime fields below 128, where they add
+byte-wise with one biased carry step.  A row is scaled by
+``bytes.translate`` through a 256-byte table per scalar, built once per
+field from ``algebra.arithmetic_tables``.  Every other field reduces
+rows entry by entry through ``Field.axpy``; both give the same tuples.
+
 Enumeration is one encoding kernel, ``_encode`` (float matrix products
 over prime fields, lookup tables up to order 64, field operations
 above), fed by one of two message generators.  The projective pass
@@ -32,11 +40,13 @@ units.  The collision search scales every half's syndrome so that its
 first nonzero coordinate is 1, tabulates the smaller half, b = floor(w/2)
 columns from position a = ceil(w/2) on, C(n-a, b) (q-1)^(b-1) keys, and
 streams the larger, C(n-b, a) (q-1)^(a-1) keys (only those starting
-below a when w is even), stopping at the first hit.  It is costed by
-the keys of halves of two or more columns and the n (q-1) column
-multiples those halves need (``_collision_entries``); a half of one
-column is a packed column itself, so layer 2 compares n scaled columns
-on every field at next to no cost.
+below a when w is even), stopping at the first hit; halves of three or
+more columns come in lists of about _BATCH_KEYS keys, so a layer that
+finds its word stops soon after the hit.  It is costed by the keys of
+halves of two or more columns and the n (q-1) column multiples those
+halves need (``_collision_entries``); a half of one column is a packed
+column itself, so layer 2 compares n scaled columns on every field at
+next to no cost.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Factorization, Field, Poly
+from .algebra import Factorization, Field, Poly, arithmetic_tables
 from .errors import InternalConsistencyError, ResourceLimitError
 
 
@@ -105,6 +115,9 @@ _BLOCK_NS = 60000.0
 _RANK_NS = 300.0
 _COLLISION_NS_CHAR2 = 400.0
 _COLLISION_NS_ODD = 700.0
+# Keys per list of halves of three or more columns (see _halves): the
+# cost of a list, about 1 us, is then under 1 % of its keys'.
+_BATCH_KEYS = 256
 
 
 def rref(rows: Iterable[Sequence[int]], field: Field
@@ -112,7 +125,15 @@ def rref(rows: Iterable[Sequence[int]], field: Field
     """Reduced row-echelon form with leading ones.
 
     Returns (echelon rows including zero rows, rank, pivot columns).
+
+    Over F_2^a (a <= 8) and the prime fields below 128, whose sums work
+    byte by byte, the rows are held one byte per entry (``_rref_bytes``);
+    every other field goes entry by entry through ``Field.axpy``.  Both
+    give the same tuples of ints.
     """
+    scalings = _byte_scalings(field)
+    if scalings is not None:
+        return _rref_bytes(rows, field, scalings)
     mat = [list(r) for r in rows]
     if not mat:
         return (), 0, ()
@@ -138,6 +159,89 @@ def rref(rows: Iterable[Sequence[int]], field: Field
     return tuple(tuple(row) for row in mat), r, tuple(pivots)
 
 
+@lru_cache(maxsize=None)
+def _byte_scalings(field: Field) -> tuple[bytes, ...] | None:
+    """For a field whose sums work byte by byte (characteristic 2 or a
+    prime p < 128, at most 256 elements), the ``bytes.translate`` table of
+    multiplication by each element c: byte b < q maps to c b.  None for
+    every other field."""
+    q = field.order
+    if q > 256 or not (field.char == 2
+                       or (field.is_prime and field.char < 128)):
+        return None
+    table = np.zeros((q, 256), dtype=np.uint8)
+    table[:, :q] = arithmetic_tables(field)[1]
+    return tuple(row.tobytes() for row in table)
+
+
+def _rref_bytes(rows: Iterable[Sequence[int]], field: Field,
+                scalings: tuple[bytes, ...]
+                ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """``rref`` with each row one Python int, byte j holding entry j.
+
+    Rows add by xor in characteristic 2.  For odd p the bytes are added
+    as integers, and since both digits are below p < 128 each byte's sum
+    stays below 2p - 1 < 256: adding 128 - p to every byte sets a byte's
+    top bit exactly where its sum reached p, and p is subtracted there
+    (the slot-wise add of ``_syndrome_packing`` with 8-bit slots).  A row
+    is scaled by translating its bytes through the scalar's table.
+    """
+    mat = [bytes(r) for r in rows]
+    if not mat:
+        return (), 0, ()
+    ncols = len(mat[0])
+    mat = [int.from_bytes(r, "little") for r in mat]
+    p = field.char
+    if p != 2:
+        ones = int.from_bytes(b"\x01" * ncols, "little")
+        bias, top = (128 - p) * ones, 128 * ones
+    nrows = len(mat)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        shift = 8 * c
+        mask = 255 << shift
+        for pivot in range(r, nrows):
+            if mat[pivot] & mask:
+                break
+        else:
+            continue
+        row = mat[pivot]
+        mat[pivot] = mat[r]
+        lead = row >> shift & 255
+        if lead != 1:
+            row = int.from_bytes(row.to_bytes(ncols, "little").translate(
+                scalings[field.inv(lead)]), "little")
+        mat[r] = row
+        if field.order == 2:
+            for i in range(nrows):
+                if mat[i] & mask and i != r:
+                    mat[i] ^= row
+        else:
+            # the multiple -a row that clears a coefficient a, by a
+            raw = row.to_bytes(ncols, "little")
+            multiples = {p - 1: row}
+            for i in range(nrows):
+                x = mat[i]
+                if x & mask and i != r:
+                    a = x >> shift & 255
+                    m = multiples.get(a)
+                    if m is None:
+                        m = multiples[a] = int.from_bytes(raw.translate(
+                            scalings[a if p == 2 else p - a]), "little")
+                    if p == 2:
+                        mat[i] = x ^ m
+                    else:
+                        s = x + m
+                        mat[i] = s - ((s + bias & top) >> 7) * p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return (tuple(tuple(x.to_bytes(ncols, "little")) for x in mat), r,
+            tuple(pivots))
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """A linear code of length n, stored as an RREF generator matrix.
@@ -158,10 +262,10 @@ class LinearCode:
         for r in mat:
             if len(r) != n:
                 raise ValueError(f"row length {len(r)} != code length {n}")
-            for v in r:
-                if not 0 <= v < field.order:
-                    raise ValueError(f"entry {v} outside field of order "
-                                     f"{field.order}")
+            if r and not 0 <= min(r) <= max(r) < field.order:
+                v = next(v for v in r if not 0 <= v < field.order)
+                raise ValueError(f"entry {v} outside field of order "
+                                 f"{field.order}")
         ech, rank, piv = rref(mat, field)
         return cls(field, n, ech[:rank], piv)
 
@@ -238,19 +342,6 @@ def _combine(F: Field, coefs: Sequence[int],
 # minimum distance
 
 
-@lru_cache(maxsize=None)
-def _enum_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """The field's addition and multiplication tables."""
-    q = field.order
-    add = np.empty((q, q), dtype=np.uint8)
-    mul = np.empty((q, q), dtype=np.uint8)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = field.add(a, b)
-            mul[a, b] = field.mul(a, b)
-    return add, mul
-
-
 def _enum_path(F: Field) -> str:
     """Arithmetic of the enumeration kernel: "prime" (matrix products),
     "table" (lookup tables) or "python" (field operations)."""
@@ -280,7 +371,7 @@ def _encode(F: Field, M: np.ndarray, G: Sequence[Sequence[int]]
             return X
         return (M.astype(np.int64) @ np.array(G, dtype=np.int64)) % q
     if path == "table":
-        add, mul = _enum_tables(F)
+        add, mul = arithmetic_tables(F)
         Gt = np.array(G, dtype=np.uint8)
         C = np.zeros((len(M), Gt.shape[1]), dtype=np.uint8)
         for i, row in enumerate(Gt):
@@ -644,12 +735,17 @@ class _Syndromes:
 
 def _halves(syn: _Syndromes, size: int, lo: int, hi: int, stop: int):
     """Lists of the keys of the half-supports of ``size`` positions in
-    range(lo, hi) whose first position is below stop, one list per first
-    position and one key per class of nonzero coefficient vectors up to
-    a common scalar: C(hi - lo, size) (q - 1)^(size - 1) keys when stop
-    >= hi, or the one key 0 of the empty half when size is 0.  A key is
-    the half's syndrome scaled so that its first nonzero coordinate is
-    1."""
+    range(lo, hi) whose first position is below stop, one key per class
+    of nonzero coefficient vectors up to a common scalar: C(hi - lo,
+    size) (q - 1)^(size - 1) keys when stop >= hi, or the one key 0 of
+    the empty half when size is 0.  A key is the half's syndrome scaled
+    so that its first nonzero coordinate is 1.
+
+    Halves of two columns come one list per first position.  Larger
+    halves come one list per run of second positions: as many as make
+    about _BATCH_KEYS keys with the first of them, and at least one.  A
+    stream that hits early so stops within a list of about that size
+    instead of computing every half with its first position."""
     if size == 0:
         yield [0]
         return
@@ -658,10 +754,16 @@ def _halves(syn: _Syndromes, size: int, lo: int, hi: int, stop: int):
         yield syn.units[lo:stop]
         return
     mult, leads = syn.multiples(), syn.leads
+    classes = (syn.field.order - 1) ** (size - 1)
+    end = hi - size + 2
     for j in range(lo, stop):
-        keys: list[int] = []
-        _complete(syn, mult[j], leads[j], j, size - 1, hi, keys)
-        yield keys
+        step = end if size == 2 else max(
+            1, _BATCH_KEYS // (comb(hi - j - 2, size - 2) * classes))
+        for i in range(j + 1, end, step):
+            keys: list[int] = []
+            _complete(syn, mult[j], leads[j], range(i, min(i + step, end)),
+                      size - 1, hi, keys)
+            yield keys
 
 
 def _successors(syn: _Syndromes, P: list[int], lead: int, j: int
@@ -696,31 +798,34 @@ def _successors(syn: _Syndromes, P: list[int], lead: int, j: int
             for x, y, r in forms]
 
 
-def _complete(syn: _Syndromes, P: list[int], lead: int, last: int,
+def _complete(syn: _Syndromes, P: list[int], lead: int, nexts: range,
               more: int, hi: int, keys: list[int]) -> None:
     """Append to keys the key of every half that extends the normalised
-    prefix P (``_successors``) by ``more`` positions in (last, hi)."""
+    prefix P (``_successors``) by ``more`` increasing positions below hi,
+    the first of them in ``nexts``."""
     add, p, units = syn.add, P[0], syn.units
     if len(P) == 1:
         # over F_2 every nonzero syndrome is normalised: the keys are sums
         if more == 1:
-            keys.extend(map(add, repeat(p), units[last + 1:hi]))
+            keys.extend(map(add, repeat(p), units[nexts.start:nexts.stop]))
             return
         if more == 2:
-            for j in range(last + 1, hi - 1):
+            for j in nexts:
                 keys.extend(map(add, repeat(add(p, units[j])),
                                 units[j + 1:hi]))
             return
     if more > 1:
-        for j in range(last + 1, hi - more + 1):
+        for j in nexts:
             for Q, r in _successors(syn, P, lead, j):
-                _complete(syn, Q, r, j, more - 1, hi, keys)
+                _complete(syn, Q, r, range(j + 1, hi - more + 2), more - 1,
+                          hi, keys)
         return
     # the keys of the forms _successors lists, without their multiples
     push, rest = keys.append, P[1:]
     neg_one = _scalar_logs(syn.field)[3]
-    for H, T, r in zip(syn.multiples()[last + 1:hi], syn.tied[last + 1:hi],
-                       syn.leads[last + 1:hi]):
+    span = slice(nexts.start, nexts.stop)
+    for H, T, r in zip(syn.multiples()[span], syn.tied[span],
+                       syn.leads[span]):
         if r > lead:
             for v in H:
                 push(add(p, v))
@@ -834,10 +939,12 @@ def _min_weight_parity(code: LinearCode, budget: Budget) -> int:
         "no dependent column set of size redundancy+1 exists")
 
 
+@lru_cache(maxsize=None)
 def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
                       ) -> str:
     """The kernel min_distance(strategy="auto") runs on this code:
-    "enumeration" or "parity".
+    "enumeration" or "parity" (cached per (code, budget), like the
+    distance itself).
 
     Enumeration is only a candidate when its q^k codewords fit
     budget.enum.  Its estimated time counts the messages it encodes:

@@ -5,7 +5,10 @@ keywords ending in a colon, and parenthesized tuples of bracket
 polynomials.  A bracket polynomial ``[c0 c1 ...]`` lists coefficients
 ascending by degree; ``[0]`` is the zero polynomial.  Blank lines and
 lines starting with ``#`` are skipped; indentation is not significant.
-Parse errors carry 1-based line numbers.
+Parse errors carry 1-based line numbers.  Each distinct entry text is
+checked once per field and remembered; a line that fails is read again
+through the line-numbered checks, so every error keeps its line and
+message.
 
 Code spec file (:class:`CodeSpec`): headers ``q`` (field order, as
 ``p`` or ``p^a``), ``m`` (shift order) and ``l`` (index), then exactly
@@ -31,7 +34,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from itertools import repeat
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import Field, Poly, factor_unity, make_field
 from .codes import LinearCode
@@ -117,7 +122,7 @@ def _parse_bracket(tok: str, no: int) -> tuple[int, ...]:
     return tuple(int(t) for t in got.group(1).split())
 
 
-def _parse_tuple(text: str, no: int) -> tuple[tuple[int, ...], ...]:
+def _tuple_parts(text: str, no: int) -> list[str]:
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ParseError(no, f"expected a parenthesized tuple, got {s!r}")
@@ -125,7 +130,58 @@ def _parse_tuple(text: str, no: int) -> tuple[tuple[int, ...], ...]:
     if not inner:
         raise ParseError(no, "empty tuple")
     # Brackets never contain commas, so a top-level split is safe.
-    return tuple(_parse_bracket(part, no) for part in inner.split(","))
+    return inner.split(",")
+
+
+def _parse_tuple(text: str, no: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_parse_bracket(part, no) for part in _tuple_parts(text, no))
+
+
+class _Reject(Exception):
+    """An entry that fails a check of ``_coeffs``."""
+
+
+@lru_cache(maxsize=None)
+def _coeffs(tok: str, bound: int, size: int) -> tuple[int, ...]:
+    """The canonical coefficients of one bracket entry, if it lists at
+    most ``size`` of them after trailing zeros are dropped, each below
+    ``bound``; raises _Reject otherwise.
+
+    A pure function of its arguments, cached, so a file pays the regex
+    and the checks once per distinct entry text.  A rejection is an
+    exception, which the cache does not keep; the caller then reads the
+    line again through the line-numbered checks, which raise its
+    ParseError.
+    """
+    got = _BRACKET_RE.fullmatch(tok.strip())
+    if not got:
+        raise _Reject
+    cs = _canonical([int(t) for t in got.group(1).split()])
+    if len(cs) > size or any(c >= bound for c in cs):
+        raise _Reject
+    return cs
+
+
+@lru_cache(maxsize=None)
+def _element(tok: str, p: int, degree: int) -> int:
+    """The element of F_(p^degree) whose base-p coordinates an entry
+    lists, packed; raises _Reject as ``_coeffs`` does."""
+    return _pack_base(_coeffs(tok, p, degree), p)
+
+
+def _read_tuple(text: str, no: int, count: int,
+                read: Callable[[str, int, int], object], bound: int,
+                size: int) -> tuple | None:
+    """The entries of a tuple line, each read by ``read(entry, bound,
+    size)`` (``_coeffs`` or ``_element``): one cached lookup per entry.
+    None where the line does not hold ``count`` entries that all pass."""
+    parts = _tuple_parts(text, no)
+    if len(parts) != count:
+        return None
+    try:
+        return tuple(map(read, parts, repeat(bound), repeat(size)))
+    except _Reject:
+        return None
 
 
 def _tuple_text(parts: Iterable[str]) -> str:
@@ -239,23 +295,31 @@ def _parse_generators(lines: list[tuple[int, str]], q: int, m: int,
         if not ln.startswith("- "):
             raise ParseError(
                 no, f"expected a '- (...)' generator line, got {ln!r}")
-        entries = _parse_tuple(ln[2:], no)
-        if len(entries) != ell:
-            raise ParseError(
-                no, f"generator tuple has {len(entries)} entries, "
-                f"index is {ell}")
-        gen = []
-        for cs in entries:
-            cs = _canonical(cs)
-            if len(cs) > m:
-                raise ParseError(
-                    no, f"entry degree {len(cs) - 1} not below m = {m}")
-            _check_coeffs(cs, q, "coefficient", no)
-            gen.append(cs)
-        gens.append(tuple(gen))
+        gen = _read_tuple(ln[2:], no, ell, _coeffs, q, m)
+        if gen is None:
+            gen = _checked_generator(ln[2:], q, m, ell, no)
+        gens.append(gen)
     if not gens:
         raise ParseError(eof, "generators block lists no generator tuples")
     return CodeSpec(q, m, ell, tuple(gens), None)
+
+
+def _checked_generator(text: str, q: int, m: int, ell: int, no: int
+                       ) -> tuple[tuple[int, ...], ...]:
+    """A generator tuple through the line-numbered checks."""
+    entries = _parse_tuple(text, no)
+    if len(entries) != ell:
+        raise ParseError(
+            no, f"generator tuple has {len(entries)} entries, index is {ell}")
+    gen = []
+    for cs in entries:
+        cs = _canonical(cs)
+        if len(cs) > m:
+            raise ParseError(
+                no, f"entry degree {len(cs) - 1} not below m = {m}")
+        _check_coeffs(cs, q, "coefficient", no)
+        gen.append(cs)
+    return tuple(gen)
 
 
 def _parse_constituents(lines: list[tuple[int, str]], q: int, m: int,
@@ -285,20 +349,11 @@ def _parse_constituents(lines: list[tuple[int, str]], q: int, m: int,
         rows = []
         while idx < len(lines) and lines[idx][1].startswith("row:"):
             no, ln = lines[idx]
-            entries = _parse_tuple(ln.partition(":")[2], no)
-            if len(entries) != ell:
-                raise ParseError(
-                    no, f"row has {len(entries)} entries, index is {ell}")
-            row = []
-            for cs in entries:
-                cs = _canonical(cs)
-                if len(cs) > info.degree:
-                    raise ParseError(
-                        no, f"entry degree {len(cs) - 1} not below factor "
-                        f"degree {info.degree}")
-                _check_coeffs(cs, q, "coefficient", no)
-                row.append(info.pack(cs))
-            rows.append(tuple(row))
+            text = ln.partition(":")[2]
+            coeffs = _read_tuple(text, no, ell, _coeffs, q, info.degree)
+            if coeffs is None:
+                coeffs = _checked_constituent(text, q, info.degree, ell, no)
+            rows.append(tuple(info.pack(cs) for cs in coeffs))
             idx += 1
         cons.append(tuple(rows))
     if idx < len(lines):
@@ -306,6 +361,25 @@ def _parse_constituents(lines: list[tuple[int, str]], q: int, m: int,
             lines[idx][0],
             f"unexpected content after factor {t}: {lines[idx][1]!r}")
     return CodeSpec(q, m, ell, None, tuple(cons))
+
+
+def _checked_constituent(text: str, q: int, degree: int, ell: int, no: int
+                         ) -> list[tuple[int, ...]]:
+    """The coefficient vectors of a constituent row through the
+    line-numbered checks."""
+    entries = _parse_tuple(text, no)
+    if len(entries) != ell:
+        raise ParseError(no, f"row has {len(entries)} entries, index is {ell}")
+    row = []
+    for cs in entries:
+        cs = _canonical(cs)
+        if len(cs) > degree:
+            raise ParseError(
+                no, f"entry degree {len(cs) - 1} not below factor degree "
+                f"{degree}")
+        _check_coeffs(cs, q, "coefficient", no)
+        row.append(cs)
+    return row
 
 
 def _order_text(q: int) -> str:
@@ -386,8 +460,18 @@ def _pack_base(coeffs: Sequence[int], p: int) -> int:
     return out
 
 
-def _parse_elem_row(entries: tuple[tuple[int, ...], ...], field: Field,
-                    no: int) -> tuple[int, ...]:
+def _elem_row(text: str, field: Field, n: int, no: int, length: str
+              ) -> tuple[int, ...]:
+    """One row of a matrix or database file, n entries long.  A line that
+    fails the cached reading goes through the line-numbered checks, which
+    raise its ParseError."""
+    row = _read_tuple(text, no, n, _element, field.char, field.degree)
+    if row is not None:
+        return row
+    entries = _parse_tuple(text, no)
+    if len(entries) != n:
+        raise ParseError(
+            no, f"row has {len(entries)} entries, {length} is {n}")
     row = []
     for cs in entries:
         cs = _canonical(cs)
@@ -411,11 +495,7 @@ def parse_matrix(text: str) -> MatrixSpec:
     for no, ln in lines[pos:]:
         if not ln.startswith("- "):
             raise ParseError(no, f"expected a '- (...)' row line, got {ln!r}")
-        entries = _parse_tuple(ln[2:], no)
-        if len(entries) != n:
-            raise ParseError(
-                no, f"row has {len(entries)} entries, length is {n}")
-        rows.append(_parse_elem_row(entries, field, no))
+        rows.append(_elem_row(ln[2:], field, n, no, "length"))
     if not rows:
         raise ParseError(eof, "rows block lists no rows")
     return MatrixSpec(q, n, tuple(rows))
@@ -479,12 +559,7 @@ def parse_database(text: str
         rows = []
         while idx < len(lines) and lines[idx][1].startswith("- "):
             no2, ln2 = lines[idx]
-            entries = _parse_tuple(ln2[2:], no2)
-            if len(entries) != n:
-                raise ParseError(
-                    no2, f"row has {len(entries)} entries, record length "
-                    f"is {n}")
-            rows.append(_parse_elem_row(entries, field, no2))
+            rows.append(_elem_row(ln2[2:], field, n, no2, "record length"))
             idx += 1
         if not rows:
             raise ParseError(no, f"record q={q} n={n} k={k} lists no rows")

@@ -220,6 +220,27 @@ def test_row_kernel_matches_entrywise(rng, monkeypatch, table_max):
             assert F._exp is None, F
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 64, 81, 125,
+                               127, 128, 243, 256])
+def test_arithmetic_tables_match_field_operations(rng, q):
+    # built in numpy from the log/antilog tables; products are checked
+    # against the table-free schoolbook product, on 0, 1, q - 1 and a
+    # sample of other rows
+    F = make_field(q)
+    add, mul = algebra.arithmetic_tables(F)
+    assert add.dtype == mul.dtype == "uint8" and add.shape == (q, q)
+    rows = sorted({0, 1, q - 1, *rng.sample(range(q), min(q, 12))})
+    for a in rows:
+        assert add[a].tolist() == [F.add(a, b) for b in range(q)]
+        assert mul[a].tolist() == [_scalar_mul(F, a, b) for b in range(q)]
+    assert (add == add.T).all() and (mul == mul.T).all()
+
+
+def test_arithmetic_tables_stop_at_256():
+    with pytest.raises(ValueError, match="order 343"):
+        algebra.arithmetic_tables(make_field(343))
+
+
 def test_field_with_picked_kernels_pickles():
     for F in _kernel_fields():
         F.axpy([1], 1, [1])

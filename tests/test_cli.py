@@ -406,6 +406,29 @@ def test_budget_exhaustion_surfaces_on_every_command(capsys, rs_matrix_file,
     assert re.fullmatch(r"error: .*budget.*\n", err)   # one line
 
 
+def test_main_calls_share_no_state(capsys, monkeypatch, rs_matrix_file,
+                                  ref_spec_file):
+    # the parser is built once per process, and every call starts from
+    # its own namespace: no option or subcommand default carries over
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    budget = cli._budget
+
+    def record(args):
+        seen.append(dict(vars(args)))
+        return budget(args)
+
+    monkeypatch.setattr(cli, "_budget", record)
+    assert run(capsys, "mindist", rs_matrix_file, "--budget", "100000")[0] == 0
+    assert run(capsys, "scan", ref_spec_file("4.1"), "--jmax", "0")[0] == 0
+    assert run(capsys, "mindist", rs_matrix_file)[0] == 0
+    first, scan, last = seen
+    assert first["budget"] == 100000 and last["budget"] is None
+    assert scan["jmax"] == 0 and scan["budget"] is None
+    assert "jmax" not in last and "db" not in last
+    assert first == {**last, "budget": 100000}
+
+
 # -- process-level smoke ------------------------------------------------------------
 
 

@@ -4,10 +4,12 @@ factor index sets."""
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from qclrc import codes, construct
-from qclrc.algebra import Poly, factor_unity, make_field
+from qclrc.algebra import Poly, arithmetic_tables, factor_unity, make_field
 from qclrc.codes import (
     Budget,
     CyclicCode,
@@ -72,6 +74,80 @@ def test_rref_leading_ones_and_cleared_pivot_columns(rng):
 
 def test_rref_empty():
     assert rref([], F2) == ((), 0, ())
+
+
+def entrywise_rref(rows, F):
+    """Gauss-Jordan elimination one entry at a time, by F.add and F.mul."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        found = [i for i in range(r, len(mat)) if mat[i][c]]
+        if not found:
+            continue
+        mat[r], mat[found[0]] = mat[found[0]], mat[r]
+        inv = F.inv(mat[r][c])
+        mat[r] = [F.mul(inv, v) for v in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [F.add(a, F.mul(F.neg(f), b))
+                          for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return tuple(map(tuple, mat)), len(pivots), tuple(pivots)
+
+
+def rref_cases(rng, F):
+    """Matrices over F: zero rows, duplicate and proportional rows, rank
+    deficiency, more rows than columns, and a single column."""
+    q = F.order
+
+    def rand(k, n):
+        return [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+
+    def combos(base, k):
+        out = []
+        for _ in range(k):
+            row = [0] * len(base[0])
+            for b in base:
+                row = [F.add(x, F.mul(rng.randrange(q), y))
+                       for x, y in zip(row, b)]
+            out.append(row)
+        return out
+
+    cases = [[[0] * 5 for _ in range(3)], [[0]], rand(4, 1), rand(1, 1)]
+    for _ in range(6):
+        n = rng.randint(2, 9)
+        base = rand(rng.randint(1, 4), n)
+        dup = base + [list(base[0]), [F.mul(q - 1, v) for v in base[-1]]]
+        cases += [
+            rand(rng.randint(1, 5), n),
+            base[:1] + [[0] * n] + base[1:] + [[0] * n],
+            dup,
+            combos(base[:2], rng.randint(3, 6)),
+            rand(n + rng.randint(1, 4), n),
+        ]
+    for rows in cases:
+        rng.shuffle(rows)
+    return cases
+
+
+@pytest.mark.parametrize("q, packed", [
+    (2, True), (3, True), (4, True), (5, True), (8, True), (16, True),
+    (64, True), (127, True), (128, True), (256, True),
+    (9, False), (3125, False)])
+def test_rref_matches_entrywise_elimination(rng, q, packed):
+    # byte-packed rows over F_2^a and the primes below 128, Field.axpy
+    # rows elsewhere: the same tuples of ints as an entry-by-entry
+    # elimination on every case
+    F = make_field(q)
+    assert (codes._byte_scalings(F) is not None) == packed
+    for rows in rref_cases(rng, F):
+        got = rref(rows, F)
+        assert got == entrywise_rref(rows, F)
+        assert len(got[0]) == len(rows)
+        assert all(type(v) is int for row in got[0] for v in row)
+    assert rref([], F) == ((), 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +424,10 @@ def test_min_weight_codeword_memoized_per_code(monkeypatch):
 
 
 def test_enum_tables_held_on_field():
+    # the lookup-table path of _encode reads the field's own tables
     F8 = make_field(8)
-    tables = codes._enum_tables(F8)
-    assert codes._enum_tables(make_field(8)) is tables
+    tables = arithmetic_tables(F8)
+    assert arithmetic_tables(make_field(8)) is tables
     add, mul = tables
     assert add[3, 5] == F8.add(3, 5) and mul[3, 5] == F8.mul(3, 5)
 
@@ -484,6 +561,36 @@ def test_collision_entries_match_layer_costs(rng, monkeypatch, q, n, k, top):
         assert not codes._collision_layer(syndromes, w)
         assert sum(visited) == codes._collision_entries(q, n, w)
         assert codes._layer_costs(F, n, k, w)[0] == sum(visited) * rate
+
+
+def test_found_layer_stops_within_one_position_batch(monkeypatch):
+    # Reed-Solomon [15, 11, 5] over F_16: every 5 columns are dependent,
+    # so layer 5 finds a word on the first 3-column halves it streams.
+    # Keys come in one list per leading pair of positions, so the layer
+    # builds fewer keys than the list of all halves with first position
+    # 0 that a batch per first position would compute before its test.
+    F = make_field(16)
+    g = F.multiplicative_generator()
+    points = [F.pow(g, e) for e in range(15)]
+    code = LinearCode.from_rows(
+        F, 15, [[F.pow(x, t) for x in points] for t in range(11)])
+    built = []
+    halves = codes._halves
+
+    def counted_halves(*args):
+        for keys in halves(*args):
+            built.append(len(keys))
+            yield keys
+
+    monkeypatch.setattr(codes, "_halves", counted_halves)
+    syndromes = codes._Syndromes(F, parity_columns(code))
+    assert not any(codes._collision_layer(syndromes, w) for w in range(1, 5))
+    built.clear()
+    assert codes._collision_layer(syndromes, 5)
+    a, b = 3, 2
+    first_position = comb(15 - b - 1, a - 1) * 15 ** (a - 1)
+    assert sum(built) < first_position
+    assert min_distance(code, strategy="parity") == 5
 
 
 def information_set_search(code):

@@ -320,6 +320,56 @@ def test_matrix_rejects_empty_rows_block():
     assert err.value.line == 3
 
 
+CONSTITUENTS = ("q: 2\nm: 3\nl: 2\nconstituents:\nfactor 1:\nfield: F_4\n"
+                "row: ([1 1], [0 1])\nfactor 2:\nfield: F_2\nrow: {}\n")
+
+
+@pytest.mark.parametrize("read, good, bad, line, message", [
+    # [2] is an element of F_3, not of F_2
+    (parse_matrix, "q: 3\nn: 2\nrows:\n- ([2], [1])\n",
+     "q: 2\nn: 2\nrows:\n- ([2], [1])\n",
+     4, "coordinate 2 outside field of order 2"),
+    # a malformed entry among entries the cache holds, on a later line
+    (parse_matrix, "q: 2\nn: 2\nrows:\n- ([1], [0])\n- ([0], [1])\n",
+     "q: 2\nn: 2\nrows:\n- ([1], [0])\n\n# note\n- ([0], [1 x])\n",
+     7, "malformed bracket polynomial '[1 x]'"),
+    # the checks keep their order: a malformed entry before the count,
+    # the count before an entry outside the field
+    (parse_matrix, "q: 2\nn: 2\nrows:\n- ([1], [0])\n",
+     "q: 2\nn: 2\nrows:\n- ([2], [0], [x])\n",
+     4, "malformed bracket polynomial '[x]'"),
+    (parse_matrix, "q: 3\nn: 3\nrows:\n- ([2], [0], [1])\n",
+     "q: 2\nn: 2\nrows:\n- ([2], [0], [1])\n",
+     4, "row has 3 entries, length is 2"),
+    (parse_database, "code 3 2 1:\n- ([2], [1])\n",
+     "code 2 2 1:\n- ([1], [0])\n- ([2], [1])\n",
+     3, "coordinate 2 outside field of order 2"),
+    (parse, "q: 3\nm: 2\nl: 1\ngenerators:\n- ([2 1])\n",
+     "q: 2\nm: 3\nl: 1\ngenerators:\n- ([2 1])\n",
+     5, "coefficient 2 outside field of order 2"),
+    (parse, "q: 2\nm: 5\nl: 1\ngenerators:\n- ([1 1 1 1])\n",
+     "q: 2\nm: 3\nl: 1\ngenerators:\n- ([1 1 1 1])\n",
+     5, "entry degree 3 not below m = 3"),
+    # [1 1] is an element of the F_4 of factor 1, not of factor 2's F_2
+    (parse, CONSTITUENTS.format("([1], [1])"),
+     CONSTITUENTS.format("([1 1], [1])"),
+     10, "entry degree 1 not below factor degree 1"),
+])
+def test_cached_entries_keep_every_parse_error(read, good, bad, line,
+                                               message):
+    # entries are read through a cache of their text, which keeps no
+    # error: a rejected file raises the same ParseError, line and
+    # message, before and after a valid file has filled the cache
+    with pytest.raises(ParseError) as cold:
+        read(bad)
+    assert cold.value.line == line
+    assert str(cold.value) == f"line {line}: {message}"
+    read(good)
+    with pytest.raises(ParseError) as warm:
+        read(bad)
+    assert (warm.value.line, str(warm.value)) == (line, str(cold.value))
+
+
 # -- database files -----------------------------------------------------------------
 
 
