@@ -16,9 +16,9 @@ polynomial arithmetic and codeword combination go through these kernels
 rather than through one ``add``/``mul`` call per entry.  The trace from a
 field of at most ``_TABLE_MAX`` elements is looked up in a table of every
 element's trace, built once per pair of fields.  A field of at most 256
-elements also has uint8 addition and multiplication tables
-(``arithmetic_tables``), built in numpy from the log/antilog tables, for
-the enumeration kernel and the byte-packed rows of ``codes.rref``.
+elements also has a uint8 multiplication table
+(``multiplication_table``), built in numpy from the log/antilog tables,
+for the byte-packed rows of ``codes.rref``.
 
 The module also builds cyclotomic cosets and the factorization of x^m - 1
 into irreducible factors, one per coset, together with the extension field
@@ -456,38 +456,27 @@ def make_field(q: int) -> Field:
 
 
 @lru_cache(maxsize=None)
-def arithmetic_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """The addition and multiplication tables of a field of at most 256
-    elements: read-only q x q uint8 arrays indexed by element, built in
-    numpy once per field.
-
-    Over prime fields both are taken mod p.  Over extension fields the
-    sum is digitwise mod p on the base-p digits of the two indices (xor
-    when p = 2), and the product of two nonzero elements is read from the
-    log/antilog tables.
-    """
+def multiplication_table(field: Field) -> np.ndarray:
+    """The multiplication table of a field of at most 256 elements: a
+    read-only q x q uint8 array indexed by element, built in numpy once
+    per field.  Over prime fields it is taken mod p; over extension
+    fields the product of two nonzero elements is read from the
+    log/antilog tables."""
     q, p = field.order, field.char
     if q > 256:
-        raise ValueError(f"no uint8 tables for a field of order {q}")
+        raise ValueError(f"no uint8 table for a field of order {q}")
     idx = np.arange(q)
     if field.is_prime:
-        add, mul = (idx[:, None] + idx) % p, (idx[:, None] * idx) % p
+        mul = (idx[:, None] * idx) % p
     else:
-        if p == 2:
-            add = idx[:, None] ^ idx
-        else:
-            places = p ** np.arange(field.degree)
-            digits = idx[:, None] // places % p
-            add = (digits[:, None, :] + digits) % p @ places
         if field._exp is None:
             field._build_tables()
         log = np.array(field._log)
         mul = np.array(field._exp)[log[:, None] + log]
         mul[0, :] = mul[:, 0] = 0
-    tables = add.astype(np.uint8), mul.astype(np.uint8)
-    for table in tables:
-        table.setflags(write=False)   # shared by every caller
-    return tables
+    mul = mul.astype(np.uint8)
+    mul.setflags(write=False)   # shared by every caller
+    return mul
 
 
 def field_trace(z: int, sup: Field, sub: Field) -> int:

@@ -14,23 +14,28 @@ entry, over the fields whose sums work byte by byte: F_2^a for a <= 8,
 where rows add by xor, and the prime fields below 128, where they add
 byte-wise with one biased carry step.  A row is scaled by
 ``bytes.translate`` through a 256-byte table per scalar, built once per
-field from ``algebra.arithmetic_tables``.  Every other field reduces
+field from ``algebra.multiplication_table``.  Every other field reduces
 rows entry by entry through ``Field.axpy``; both give the same tuples.
 
-Enumeration is one encoding kernel, ``_encode`` (float matrix products
-over prime fields, lookup tables up to order 64, field operations
-above), fed by one of two message generators.  The projective pass
-encodes only the messages whose most significant nonzero digit is 1,
-(q^k - 1)/(q - 1) of the q^k: nonzero multiples of a word have its
-weight, and the multiple with top digit 1 comes first in codeword
-order, so the pass still finds the first least-weight word
-(``min_weight_codeword``).  For ``min_distance`` alone, a code with N >=
-2 disjoint information sets may instead be searched by the
-Brouwer-Zimmermann method (``_min_weight_bz``): messages of weight t = 1,
-2, ... on each set's systematic generator, until the least weight seen
-meets the floor N (t + 1) that every word not yet seen exceeds.  It runs
-when its estimated cost is lower (``_enumeration_plan``).  Either way
-the enumeration budget bounds q^k.
+Enumeration is one encoding kernel, ``_encode``, with one arithmetic for
+every field.  Encoding over F_q, q = p^e, is F_p-linear on base-p
+digits, so the codewords of a block of messages are one matrix product
+over F_p, reduced mod p: the messages' base-p digits times the generator
+matrix expanded to (k e) x (n e) digits (``_prime_generator``), about
+_BLOCK_ENTRIES codeword digits a block.  The product is taken in float64
+where it is exact, and in int64 over the primes too large for that.  One
+of two message generators feeds the kernel.  The projective pass encodes
+only the messages whose most significant nonzero digit is 1, (q^k -
+1)/(q - 1) of the q^k: nonzero multiples of a word have its weight, and
+the multiple with top digit 1 comes first in codeword order, so the pass
+still finds the first least-weight word (``min_weight_codeword``).  For
+``min_distance`` alone, a code with N >= 2 disjoint information sets may
+instead be searched by the Brouwer-Zimmermann method
+(``_min_weight_bz``): messages of weight t = 1, 2, ... on each set's
+systematic generator, until the least weight seen meets the floor N (t +
+1) that every word not yet seen exceeds.  It runs when its estimated cost
+is lower (``_enumeration_plan``).  Either way the enumeration budget
+bounds q^k.
 
 The parity search runs in layers of increasing weight w.  Each layer is
 decided by one of two exact searches, whichever is estimated cheaper for
@@ -60,7 +65,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Factorization, Field, Poly, arithmetic_tables
+from .algebra import Factorization, Field, Poly, multiplication_table
 from .errors import InternalConsistencyError, ResourceLimitError
 
 
@@ -74,32 +79,35 @@ class Budget(NamedTuple):
 
 ENUM_BUDGET_DEFAULT, RANK_BUDGET_DEFAULT = Budget()
 
-# numpy enumeration uses lookup tables up to this field order
-_NUMPY_TABLE_MAX = 64
-# messages encoded per block by the numpy paths and by the pure-Python path
-_CHUNK = 1 << 18
-_PY_CHUNK = 1 << 8
+# Base-p digits of the codewords of one block of enumerated messages
+# (``_block_messages``).  Each digit is a float64, and a block holds a
+# few arrays of that size.  On x86-64 with numpy 2.4, min_distance of
+# the Reed-Solomon [15, 5] code over F_16 raises the peak resident set
+# of a fresh process by 0.65 MiB with blocks of 2^14 digits, and by 3.3
+# MiB with blocks of 2^18 messages.
+_BLOCK_ENTRIES = 1 << 14
 
 # Nanoseconds per unit of work of each distance kernel, for the cost
 # rules in distance_strategy, _enumeration_plan and _min_weight_parity.
-# Enumeration does k * n units per message encoded, plus a fixed cost per
-# block of messages after the first, and the Brouwer-Zimmermann search
-# one elimination of k^2 * n units per information set, charged at the
+# Over F_q, q = p^e, enumeration does (k e) * (n e) units per message
+# encoded (the digit products of _encode), plus a fixed cost per block of
+# messages after the first, and the Brouwer-Zimmermann search one
+# elimination of k^2 * n units per information set, charged at the
 # rank-check rate; layer w of the parity search does C(n, w) * w^2 *
 # (n - k) units by rank checks, or tabulates and streams the entries
 # counted in _collision_entries by collision.  Measured on 2-core x86-64,
-# Python 3.11, numpy 2.4, one BLAS thread.  Projective passes over random
-# [2k, k] and [3k, k] codes (F_2 k <= 18 up to F_256 k = 2): 1.9-5.2 ns
-# over prime fields (median 3.4; float matrix product), 18-25 ns on the
-# lookup-table path (median 20.5), 740-1870 ns on the pure-Python path
-# (F_81..F_256, median 1130).  The search on Reed-Solomon codes over
-# F_7..F_49, binary Golay, Reed-Muller and BCH codes and random [2k..4k,
-# k] codes: the same rate per message on large runs, and 50 us (prime)
-# to 85 us (lookup tables) per block beyond it (medians); finding the
-# information sets, 180-540 ns per k^2 n unit over prime fields and
-# 330-1540 ns over extension fields.  The rank and collision figures are
-# medians over layers searched to the end (a layer that finds its word
-# stops early), over F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125
+# Python 3.11, numpy 2.4, one BLAS thread.  Enumeration: projective
+# passes over random [2k, k] and [3k, k] codes (F_2 k <= 18 up to F_3125
+# k = 2) and the search on Reed-Solomon codes over F_7..F_49, binary
+# Golay, Reed-Muller and BCH codes and random [2k..4k, k] codes over
+# F_2..F_256, 112 runs; fitted by least squares on the relative error of
+# the 53 runs of at least 1 ms, 0.29 ns per unit and 131 us per block
+# beyond the first.  A whole projective pass of at least 20 blocks takes
+# 0.46-2.19 ns per unit, its block costs included (median 0.79).
+# Finding the information sets, 180-540 ns per k^2 n unit over prime
+# fields and 330-1540 ns over extension fields.  The rank and collision
+# figures are medians over layers searched to the end (a layer that finds
+# its word stops early), over F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125
 # (layers of at least 5000 entries or 50000 units).  Collision, the
 # normalisation of every key included (random codes of two seeds, 24-26
 # layers in characteristic 2 and 57 in odd characteristic per seed,
@@ -110,8 +118,8 @@ _PY_CHUNK = 1 << 8
 # subset on every field (layers of at most 20000 subsets, two draws of
 # random codes): 259-261 ns over prime fields (128-494), 342-386 ns over
 # extension fields (113-1118), 301-310 ns over both.
-_ENUM_NS = {"prime": 3.5, "table": 20.0, "python": 1100.0}
-_BLOCK_NS = 60000.0
+_ENUM_NS = 0.3
+_BLOCK_NS = 130000.0
 _RANK_NS = 300.0
 _COLLISION_NS_CHAR2 = 400.0
 _COLLISION_NS_ODD = 700.0
@@ -170,7 +178,7 @@ def _byte_scalings(field: Field) -> tuple[bytes, ...] | None:
                        or (field.is_prime and field.char < 128)):
         return None
     table = np.zeros((q, 256), dtype=np.uint8)
-    table[:, :q] = arithmetic_tables(field)[1]
+    table[:, :q] = multiplication_table(field)
     return tuple(row.tobytes() for row in table)
 
 
@@ -326,87 +334,83 @@ class LinearCode:
             for _ in range(k):
                 msg.append(t % q)
                 t //= q
-            yield tuple(_combine(self.field, msg, self.rows, self.n))
-
-
-def _combine(F: Field, coefs: Sequence[int],
-             rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The combination of the rows with the given coefficients."""
-    word = [0] * n
-    for coef, row in zip(coefs, rows):
-        word = F.axpy(word, coef, row)
-    return word
+            word = [0] * self.n
+            for coef, row in zip(msg, self.rows):
+                word = self.field.axpy(word, coef, row)
+            yield tuple(word)
 
 
 # ---------------------------------------------------------------------------
 # minimum distance
 
 
-def _enum_path(F: Field) -> str:
-    """Arithmetic of the enumeration kernel: "prime" (matrix products),
-    "table" (lookup tables) or "python" (field operations)."""
-    if F.is_prime:
-        return "prime"
-    return "table" if F.order <= _NUMPY_TABLE_MAX else "python"
+def _block_messages(F: Field, n: int) -> int:
+    """Messages per block of a code of length n: as many as make a
+    product of about _BLOCK_ENTRIES base-p digits, and at least one."""
+    return max(1, _BLOCK_ENTRIES // (n * F.degree))
 
 
-def _encode(F: Field, M: np.ndarray, G: Sequence[Sequence[int]]
+@lru_cache(maxsize=None)
+def _prime_generator(F: Field, G: tuple[tuple[int, ...], ...]
+                     ) -> np.ndarray:
+    """The generator matrix G over F_q, q = p^e, expanded to a (k e) x
+    (n e) matrix X over F_p (float64, read-only).
+
+    Row e i + a of X is p^a G_i, each entry written as its e base-p
+    digits, least significant first.  Field indices add digitwise mod p,
+    and the element of index x is the sum of x_a copies of the element
+    of index p^a over the base-p digits x_a of x.  So a message whose
+    digit i is m_i encodes to the sum over i and a of (m_i)_a p^a G_i:
+    the base-p digits of M G are digits(M) X mod p, where the base-p
+    digits of a message index are those of its k base-q digits, laid
+    end to end.  Over a prime field X is G itself.
+    """
+    p, e = F.char, F.degree
+    rows = [F.scale_row(p ** a, row) for row in G for a in range(e)]
+    X = _digits(np.array(rows, dtype=np.int64).ravel(), p, e).reshape(
+        len(rows), -1).astype(np.float64)
+    X.setflags(write=False)   # shared by every caller
+    return X
+
+
+def _encode(F: Field, D: np.ndarray, G: tuple[tuple[int, ...], ...]
             ) -> np.ndarray:
-    """The codewords M G, one per message row of M (field indices, the
-    digit of row i of G in column i)."""
-    path = _enum_path(F)
-    if path == "prime":
-        q = F.order
-        if len(G) * (q - 1) * (q - 1) < 1 << 50:
-            # The products are integers below 2^50, exact in a float64.
-            # x / q is correctly rounded: exact when q divides x, and
-            # otherwise within a quarter of 1/q of x / q, which is at
-            # least 1/q from an integer; so the floor is exact.  It is
-            # several times faster than the float remainder x % q.
-            X = M @ np.array(G, dtype=np.float64)
-            T = np.divide(X, q)
-            np.floor(T, out=T)
-            T *= q
-            X -= T
-            return X
-        return (M.astype(np.int64) @ np.array(G, dtype=np.int64)) % q
-    if path == "table":
-        add, mul = arithmetic_tables(F)
-        Gt = np.array(G, dtype=np.uint8)
-        C = np.zeros((len(M), Gt.shape[1]), dtype=np.uint8)
-        for i, row in enumerate(Gt):
-            C = add[C, mul[M[:, i][:, None], row[None, :]]]
-        return C
-    return np.array([_combine(F, msg, G, len(G[0])) for msg in M.tolist()],
-                    dtype=np.int64)
+    """The codewords M G as field indices, one per message, given the
+    messages' base-p digits D (``_prime_generator``): digit a of the
+    message digit i in column e i + a."""
+    p, e = F.char, F.degree
+    X = _prime_generator(F, G)
+    if len(X) * (p - 1) * (p - 1) < 1 << 50:
+        # The products are integers below 2^50, exact in a float64.
+        # x / p is correctly rounded: exact when p divides x, and
+        # otherwise within a quarter of 1/p of x / p, which is at least
+        # 1/p from an integer; so the floor is exact.  It is several
+        # times faster than the float remainder x % p.
+        C = D.astype(np.float64) @ X
+        T = np.divide(C, p)
+        np.floor(T, out=T)
+        T *= p
+        C -= T
+    else:
+        C = D @ X.astype(np.int64) % p
+    if e > 1:
+        C = (C.reshape(-1, e) @ p ** np.arange(e)).reshape(len(D), -1)
+    return C
 
 
-def _digits(idx: np.ndarray, base: int, k: int, dtype) -> np.ndarray:
+def _digits(idx: np.ndarray, base: int, k: int) -> np.ndarray:
     """The k base-``base`` digits of each index, least significant
     first."""
-    out = np.empty((len(idx), k), dtype=dtype)
-    for i in range(k):
-        out[:, i] = idx % base
-        idx = idx // base
-    return out
+    return idx[:, None] // base ** np.arange(k) % base
 
 
-def _chunk_and_dtype(F: Field) -> tuple[int, type]:
-    """Messages per block and the dtype of their digits (float64 over
-    prime fields, the operand of the matrix product)."""
-    path = _enum_path(F)
-    if path == "python":
-        return _PY_CHUNK, np.int64
-    return _CHUNK, np.uint8 if path == "table" else np.float64
-
-
-def _projective_messages(F: Field, k: int):
-    """Blocks of the messages whose most significant nonzero digit is 1,
-    in increasing index order: the spans [q^t, 2 q^t) for t = 0..k-1,
-    (q^k - 1)/(q - 1) messages in all.  A block may join several spans,
-    so a short code is one block."""
+def _projective_messages(F: Field, k: int, chunk: int):
+    """Blocks of at most ``chunk`` of the messages whose most significant
+    nonzero digit is 1, as base-p digits (``_encode``), in increasing
+    index order: the spans [q^t, 2 q^t) for t = 0..k-1, (q^k - 1)/(q - 1)
+    messages in all.  A block may join several spans, so a short code is
+    one block."""
     q = F.order
-    chunk, dtype = _chunk_and_dtype(F)
     block, size = [], 0
     for t in range(k):
         lo, end = q ** t, 2 * q ** t
@@ -415,15 +419,15 @@ def _projective_messages(F: Field, k: int):
             block.append(np.arange(lo, hi))
             size, lo = size + hi - lo, hi
             if size == chunk or (t == k - 1 and lo == end):
-                yield _digits(np.concatenate(block), q, k, dtype)
+                yield _digits(np.concatenate(block), F.char, k * F.degree)
                 block, size = [], 0
 
 
-def _weight_messages(F: Field, k: int, t: int):
-    """Blocks of the messages with exactly t nonzero digits, the most
-    significant of them 1: C(k, t) (q - 1)^(t - 1) messages in all."""
+def _weight_messages(F: Field, k: int, t: int, chunk: int):
+    """Blocks of at most ``chunk`` of the messages with exactly t nonzero
+    digits, the most significant of them 1, as base-p digits
+    (``_encode``): C(k, t) (q - 1)^(t - 1) messages in all."""
     q = F.order
-    chunk, dtype = _chunk_and_dtype(F)
     count = (q - 1) ** (t - 1)
     flat = chain.from_iterable(combinations(range(k), t))
     while True:
@@ -432,13 +436,13 @@ def _weight_messages(F: Field, k: int, t: int):
         if not len(S):
             return
         for lo in range(0, count, chunk):
-            coef = np.ones((min(chunk, count - lo), t), dtype=dtype)
+            coef = np.ones((min(chunk, count - lo), t), dtype=np.int64)
             coef[:, :-1] += _digits(np.arange(lo, lo + len(coef)), q - 1,
-                                    t - 1, dtype)
-            M = np.zeros((len(S) * len(coef), k), dtype=dtype)
+                                    t - 1)
+            M = np.zeros((len(S) * len(coef), k), dtype=np.int64)
             rows = np.arange(len(M)).reshape(len(S), len(coef))
             M[rows[:, :, None], S[:, None, :]] = coef[None, :, :]
-            yield M
+            yield _digits(M.ravel(), F.char, F.degree).reshape(len(M), -1)
 
 
 def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
@@ -453,8 +457,8 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     order is among those encoded."""
     F = code.field
     best_w, best = code.n + 1, None
-    for M in _projective_messages(F, code.k):
-        C = _encode(F, M, code.rows)
+    for D in _projective_messages(F, code.k, _block_messages(F, code.n)):
+        C = _encode(F, D, code.rows)
         w = np.count_nonzero(C, axis=1)
         i = int(w.argmin())
         if w[i] < best_w:
@@ -513,11 +517,12 @@ def _min_weight_bz(code: LinearCode, sets) -> int:
     """
     F, k = code.field, code.k
     N = len(sets)
+    chunk = _block_messages(F, code.n)
     best = code.n + 1
     for t in range(1, k + 1):
         for j, (_, G) in enumerate(sets, 1):
-            for M in _weight_messages(F, k, t):
-                C = _encode(F, M, G)
+            for D in _weight_messages(F, k, t, chunk):
+                C = _encode(F, D, G)
                 best = min(best, int(np.count_nonzero(C, axis=1).min()))
             if best <= N * t + j or t == k:
                 return best
@@ -555,18 +560,19 @@ def _enumeration_plan(code: LinearCode, limit: float = float("inf")
     most n // k of them.  It runs when its worst-case message count
     (``_bz_work``, with the cap of ``_distance_cap``) is below the
     projective count and its estimated time is below the projective
-    pass's.  Each estimate charges k n units per message and a fixed
-    cost per block of messages after the first; the search's also
-    charges an elimination of k^2 n units per set.  The sets are only
+    pass's.  Each estimate charges (k e)(n e) units per message over
+    F_{p^e} and a fixed cost per block of messages after the first (per
+    level on a set, for the search); the search's also charges an
+    elimination of k^2 n units per set.  The sets are only
     looked for when the search's least estimate over N = 2..n // k is
     below both the projective pass's and ``limit`` (the cost of another
     kernel that would win anyway).
     """
     F = code.field
     q, n, k = F.order, code.n, code.k
-    unit = k * n * _ENUM_NS[_enum_path(F)]
+    unit = k * n * F.degree ** 2 * _ENUM_NS
     projective = (q ** k - 1) // (q - 1)
-    blocks = -(-projective // _chunk_and_dtype(F)[0])
+    blocks = -(-projective // _block_messages(F, n))
     plan = (projective * unit + (blocks - 1) * _BLOCK_NS, None)
     cap = _distance_cap(code)
 

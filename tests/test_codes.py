@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from qclrc import codes, construct
-from qclrc.algebra import Poly, arithmetic_tables, factor_unity, make_field
+from qclrc.algebra import Poly, factor_unity, make_field
 from qclrc.codes import (
     Budget,
     CyclicCode,
@@ -382,28 +382,73 @@ def test_min_weight_codeword_is_first_in_codeword_order(rng):
         tied += lightest > field.order - 1
         assert min_weight_codeword(code) == (w, word)
     assert tied >= 20
-    # above the lookup-table size the pure-Python path runs
-    F128 = make_field(128)
-    rows = [[rng.randrange(1, 128) for _ in range(4)] for _ in range(2)]
-    code = LinearCode.from_rows(F128, 4, rows)
-    assert min_weight_codeword(code) == scan_min_weight(code)
+
+
+def first_word_of_weight(code, d):
+    """The first codeword of weight d in codeword order: the codeword
+    scan of ``scan_min_weight`` when d is the minimum distance, stopped
+    there."""
+    return next(c for c in code.codewords() if sum(1 for v in c if v) == d)
 
 
 @pytest.mark.parametrize("block", [1 << 8, 3])
-def test_pure_python_path_walks_projective_spans(rng, monkeypatch, block):
-    # F_81 is above the lookup-table size: messages are encoded by field
-    # operations, in blocks of _PY_CHUNK
-    monkeypatch.setattr(codes, "_PY_CHUNK", block)
-    F81 = make_field(81)
-    assert codes._enum_path(F81) == "python"
+def test_projective_pass_walks_spans_in_small_blocks(rng, monkeypatch,
+                                                     block):
+    # F_81 and F_729 encode through F_3, four and six digits a symbol;
+    # a block of 3 digits holds one message, so every span is split
+    monkeypatch.setattr(codes, "_BLOCK_ENTRIES", block)
     encoded = counting(monkeypatch, "_encode")
-    for _ in range(6):
-        n = rng.randint(2, 5)
-        rows = [[rng.randrange(81) for _ in range(n)] for _ in range(2)]
-        code = LinearCode.from_rows(F81, n, rows)
-        assert min_weight_codeword(code) == scan_min_weight(code)
-    # at most (81^2 - 1)/80 = 82 messages per code, not 81^2
-    assert 0 < sum(len(M) for _, M, _ in encoded) <= 6 * 82
+    for q in (81, 729):
+        F = make_field(q)
+        for _ in range(3):
+            n = rng.randint(2, 5)
+            rows = [[rng.randrange(q) if rng.random() < 0.7 else 0
+                     for _ in range(n)] for _ in range(2)]
+            code = LinearCode.from_rows(F, n, rows)
+            if code.k == 0:
+                continue
+            d = min_distance(code, strategy="parity")
+            assert min_weight_codeword(code) == \
+                (d, first_word_of_weight(code, d))
+            if q == 81:
+                assert min_weight_codeword(code) == scan_min_weight(code)
+    # at most (q^2 - 1)/(q - 1) = q + 1 messages per code, not q^2
+    assert 0 < sum(len(D) for _, D, _ in encoded) <= 3 * 82 + 3 * 730
+    if block == 3:
+        assert all(len(D) == 1 for _, D, _ in encoded)
+
+
+@pytest.mark.parametrize("q", [81, 128, 243, 256, 729, 3125])
+def test_enumeration_agrees_with_parity_on_large_fields(rng, monkeypatch,
+                                                        q):
+    # extension fields of more than 64 elements: the first least-weight
+    # word and the distance by both enumerations match the codeword scan
+    # and the parity search
+    F = make_field(q)
+    kmax = 3 if q <= 128 else 2
+    for _ in range(5):
+        n = rng.randint(4, 7)
+        rows = [[rng.randrange(q) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(rng.randint(2, kmax))]
+        code = LinearCode.from_rows(F, n, rows)
+        if code.k in (0, n):
+            continue
+        d = min_distance(code, strategy="parity")
+        assert min_weight_codeword(code) == (d, first_word_of_weight(code, d))
+        for plan in (information_set_search, projective_pass):
+            monkeypatch.setattr(codes, "_enumeration_plan", plan)
+            assert min_distance(code, strategy="enumeration") == d
+
+
+def test_encode_multiplies_in_int64_where_floats_could_round():
+    # over F_p with (p - 1)^2 >= 2^50 a float64 product may be inexact,
+    # so messages are encoded by an int64 product
+    p = 33554467
+    F = make_field(p)
+    assert (p - 1) ** 2 >= 1 << 50
+    code = LinearCode.from_rows(F, 5, [[7, 0, p - 1, 123456789 % p, 0]])
+    assert min_weight_codeword(code, budget=Budget(enum=p)) == \
+        (3, code.rows[0])
 
 
 def test_min_weight_codeword_memoized_per_code(monkeypatch):
@@ -423,13 +468,19 @@ def test_min_weight_codeword_memoized_per_code(monkeypatch):
     assert len(enum) == 2
 
 
-def test_enum_tables_held_on_field():
-    # the lookup-table path of _encode reads the field's own tables
-    F8 = make_field(8)
-    tables = arithmetic_tables(F8)
-    assert arithmetic_tables(make_field(8)) is tables
-    add, mul = tables
-    assert add[3, 5] == F8.add(3, 5) and mul[3, 5] == F8.mul(3, 5)
+def test_prime_generator_held_per_code():
+    # row 2 i + a of the expansion over F_9 is 3^a G_i in base-3 digits;
+    # equal (field, rows) pairs share one read-only array
+    F9 = make_field(9)
+    G = ((1, 0, 5), (0, 1, 7))
+    X = codes._prime_generator(F9, G)
+    assert X.shape == (4, 6) and not X.flags.writeable
+    for i, row in enumerate(G):
+        for a in range(2):
+            scaled = F9.scale_row(3 ** a, row)
+            assert X[2 * i + a].tolist() == \
+                [v // 3 ** b % 3 for v in scaled for b in range(2)]
+    assert codes._prime_generator(make_field(9), tuple(list(G))) is X
 
 
 def parity_columns(code):
@@ -605,8 +656,9 @@ def projective_pass(code):
 def test_enumeration_kernels_agree_with_parity(rng, monkeypatch, block):
     # each code runs the Brouwer-Zimmermann search and the projective
     # pass, forced through _enumeration_plan, and the parity search; a
-    # block of 5 messages splits every level and span into several
-    monkeypatch.setattr(codes, "_CHUNK", block)
+    # block of 5 digits holds one message, so every level and span is
+    # split into several
+    monkeypatch.setattr(codes, "_BLOCK_ENTRIES", block)
     fields = [make_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)]
     searches = counting(monkeypatch, "_min_weight_bz")
     passes = counting(monkeypatch, "_min_weight_enum")
