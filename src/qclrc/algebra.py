@@ -61,6 +61,23 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
 
+def pack_digits(digits: Sequence[int], base: int) -> int:
+    """The index whose base-``base`` digits, ascending, are ``digits``."""
+    out = 0
+    for d in reversed(digits):
+        out = out * base + d
+    return out
+
+
+def unpack_digits(index: int, base: int, width: int) -> tuple[int, ...]:
+    """The ``width`` lowest base-``base`` digits of ``index``, ascending."""
+    out = []
+    for _ in range(width):
+        index, d = divmod(index, base)
+        out.append(d)
+    return tuple(out)
+
+
 class Field:
     """A finite field: F_p, or an extension of another Field by a modulus.
 
@@ -183,29 +200,12 @@ class Field:
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
 
-    def _unpack(self, a: int) -> list[int]:
-        """Coefficients of a over the base field, ascending, padded."""
-        q = self.base.order
-        step = self.modulus.degree
-        out = [0] * step
-        for i in range(step):
-            out[i] = a % q
-            a //= q
-        return out
-
-    def _pack(self, coeffs: Sequence[int]) -> int:
-        q = self.base.order
-        out = 0
-        for c in reversed(coeffs):
-            out = out * q + c
-        return out
-
     def _mul_raw(self, a: int, b: int) -> int:
         """Schoolbook product of coefficient vectors, reduced by the modulus."""
         base = self.base
-        step = self.modulus.degree
-        av = self._unpack(a)
-        bv = self._unpack(b)
+        q, step = base.order, self.modulus.degree
+        av = unpack_digits(a, q, step)
+        bv = unpack_digits(b, q, step)
         prod = [0] * (2 * step - 1)
         for i, ai in enumerate(av):
             if ai:
@@ -216,7 +216,7 @@ class Field:
             if lead:
                 prod[i - step:i] = base.axpy(prod[i - step:i],
                                              base.neg(lead), lower)
-        return self._pack(prod[:step])
+        return pack_digits(prod[:step], q)
 
     def _build_tables(self) -> None:
         """Log/antilog tables of an extension field over the powers of its
@@ -862,22 +862,14 @@ class FactorInfo:
 
     def pack(self, coeffs: Sequence[int]) -> int:
         """Element of ext_field with the given coefficients in the root."""
-        q = self.poly.field.order
-        out = 0
-        for c in reversed(coeffs):
-            out = out * q + c
+        out = pack_digits(coeffs, self.poly.field.order)
         if out >= self.ext_field.order:
             raise ValueError("coefficient vector too long for this factor")
         return out
 
     def unpack(self, elem: int) -> tuple[int, ...]:
         """Coefficient vector of an ext_field element in the root."""
-        q = self.poly.field.order
-        out = []
-        for _ in range(self.degree):
-            out.append(elem % q)
-            elem //= q
-        return tuple(out)
+        return unpack_digits(elem, self.poly.field.order, self.degree)
 
     def eval(self, a: Poly) -> int:
         """Evaluate a(x) over F_q at this factor's root.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -29,21 +28,21 @@ from .errors import (ConstructionError, InternalConsistencyError,
                      ResourceLimitError)
 from .reference import REFERENCE_IDS, reference_case
 from .specfile import (from_code, parse, parse_database, parse_matrix,
-                       poly_text, render_matrix, to_code, to_decomposition)
+                       poly_text, read_order, render_matrix, to_code,
+                       to_decomposition)
 
 Doc = dict
 
-DEFAULT_SEED = 20260819
 DEFAULT_JMAX = 10
 
 
 def _order_arg(text: str) -> int:
     """Field order argument, as a plain integer or p^a."""
-    got = re.fullmatch(r"(\d+)(?:\^(\d+))?", text)
-    if not got:
+    q = read_order(text)
+    if q is None:
         raise argparse.ArgumentTypeError(
             f"field order must be p or p^a, got {text!r}")
-    return int(got.group(1)) ** (int(got.group(2)) if got.group(2) else 1)
+    return q
 
 
 def _budget(args: argparse.Namespace) -> Budget:
@@ -310,9 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="text lines or one JSON document")
     common.add_argument("--budget", type=int, default=None,
                         help="cap the enumeration and rank-probe budgets")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized subroutines; current "
-                        "commands are deterministic")
     parser = argparse.ArgumentParser(
         prog="qclrc",
         description="Quasi-cyclic locally recoverable codes toolbox.")

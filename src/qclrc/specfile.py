@@ -6,9 +6,9 @@ polynomials.  A bracket polynomial ``[c0 c1 ...]`` lists coefficients
 ascending by degree; ``[0]`` is the zero polynomial.  Blank lines and
 lines starting with ``#`` are skipped; indentation is not significant.
 Parse errors carry 1-based line numbers.  Each distinct entry text is
-checked once per field and remembered; a line that fails is read again
-through the line-numbered checks, so every error keeps its line and
-message.
+checked once per field and the answer cached; the cache answers an entry
+that fails with None, and the line holding it raises the ParseError of
+its first fault.
 
 Code spec file (:class:`CodeSpec`): headers ``q`` (field order, as
 ``p`` or ``p^a``), ``m`` (shift order) and ``l`` (index), then exactly
@@ -38,7 +38,8 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import Field, Poly, factor_unity, make_field
+from .algebra import (Field, Poly, factor_unity, make_field, pack_digits,
+                      unpack_digits)
 from .codes import LinearCode
 from .errors import ParseError
 from .qc import ConstituentDecomposition, QCCode, evaluate_constituents
@@ -57,11 +58,13 @@ __all__ = [
     "parse_database",
     "render_database",
     "poly_text",
+    "read_order",
 ]
 
 _HEADER_RE = re.compile(r"(\w+)\s*:\s*(.*)")
 _BRACKET_RE = re.compile(r"\[\s*((?:\d+\s*)*)\]")
 _RECORD_RE = re.compile(r"code\s+(\d+)\s+(\d+)\s+(\d+)\s*:")
+_ORDER_RE = re.compile(r"(\d+)(?:\^(\d+))?")
 
 
 @dataclass(frozen=True)
@@ -115,13 +118,6 @@ def _canonical(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def _parse_bracket(tok: str, no: int) -> tuple[int, ...]:
-    got = _BRACKET_RE.fullmatch(tok.strip())
-    if not got:
-        raise ParseError(no, f"malformed bracket polynomial {tok.strip()!r}")
-    return tuple(int(t) for t in got.group(1).split())
-
-
 def _tuple_parts(text: str, no: int) -> list[str]:
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
@@ -133,55 +129,86 @@ def _tuple_parts(text: str, no: int) -> list[str]:
     return inner.split(",")
 
 
-def _parse_tuple(text: str, no: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_parse_bracket(part, no) for part in _tuple_parts(text, no))
-
-
-class _Reject(Exception):
-    """An entry that fails a check of ``_coeffs``."""
-
-
 @lru_cache(maxsize=None)
-def _coeffs(tok: str, bound: int, size: int) -> tuple[int, ...]:
+def _coeffs(tok: str, bound: int, size: int) -> tuple[int, ...] | None:
     """The canonical coefficients of one bracket entry, if it lists at
     most ``size`` of them after trailing zeros are dropped, each below
-    ``bound``; raises _Reject otherwise.
+    ``bound``; None otherwise.
 
     A pure function of its arguments, cached, so a file pays the regex
-    and the checks once per distinct entry text.  A rejection is an
-    exception, which the cache does not keep; the caller then reads the
-    line again through the line-numbered checks, which raise its
-    ParseError.
+    and the checks once per distinct entry text.
     """
     got = _BRACKET_RE.fullmatch(tok.strip())
     if not got:
-        raise _Reject
+        return None
     cs = _canonical([int(t) for t in got.group(1).split()])
     if len(cs) > size or any(c >= bound for c in cs):
-        raise _Reject
+        return None
     return cs
 
 
 @lru_cache(maxsize=None)
-def _element(tok: str, p: int, degree: int) -> int:
-    """The element of F_(p^degree) whose base-p coordinates an entry
-    lists, packed; raises _Reject as ``_coeffs`` does."""
-    return _pack_base(_coeffs(tok, p, degree), p)
+def _element(tok: str, base: int, degree: int) -> int | None:
+    """The element of the field of order base^degree whose coordinates
+    over the field of order ``base`` an entry lists, packed; None as for
+    ``_coeffs``."""
+    cs = _coeffs(tok, base, degree)
+    return None if cs is None else pack_digits(cs, base)
 
 
-def _read_tuple(text: str, no: int, count: int,
-                read: Callable[[str, int, int], object], bound: int,
-                size: int) -> tuple | None:
-    """The entries of a tuple line, each read by ``read(entry, bound,
-    size)`` (``_coeffs`` or ``_element``): one cached lookup per entry.
-    None where the line does not hold ``count`` entries that all pass."""
+@dataclass(frozen=True)
+class _Kind:
+    """One kind of tuple line: the cached lookup that reads its entries,
+    and the wording of its errors (the entry count, an entry with too
+    many coordinates, a value outside the field)."""
+
+    read: Callable[[str, int, int], object]
+    count: str
+    size: str
+    value: str
+
+
+_GENERATOR = _Kind(_coeffs, "generator tuple has {got} entries, index is "
+                   "{want}", "entry degree {deg} not below m = {size}",
+                   "coefficient")
+_CONSTITUENT = _Kind(_element, "row has {got} entries, index is {want}",
+                     "entry degree {deg} not below factor degree {size}",
+                     "coefficient")
+_MATRIX_ROW = _Kind(_element, "row has {got} entries, length is {want}",
+                    "entry has {length} coordinates, field degree is {size}",
+                    "coordinate")
+_DATABASE_ROW = _Kind(_element, "row has {got} entries, record length is "
+                      "{want}", _MATRIX_ROW.size, "coordinate")
+
+
+def _read_tuple(text: str, no: int, kind: _Kind, count: int, bound: int,
+                size: int) -> tuple:
+    """The entries of a tuple line, each read by ``kind.read(entry,
+    bound, size)``: one cached lookup per entry.
+
+    A line that does not hold ``count`` entries that all pass raises the
+    ParseError of its first fault: a malformed entry, then the entry
+    count, then the first entry too long or holding a value outside the
+    field.
+    """
     parts = _tuple_parts(text, no)
-    if len(parts) != count:
-        return None
-    try:
-        return tuple(map(read, parts, repeat(bound), repeat(size)))
-    except _Reject:
-        return None
+    entries = tuple(map(kind.read, parts, repeat(bound), repeat(size)))
+    if len(entries) == count and None not in entries:
+        return entries
+    failed = [part.strip() for part, entry in zip(parts, entries)
+              if entry is None]
+    found = [_BRACKET_RE.fullmatch(tok) for tok in failed]
+    for tok, got in zip(failed, found):
+        if not got:
+            raise ParseError(no, f"malformed bracket polynomial {tok!r}")
+    if len(entries) != count:
+        raise ParseError(no, kind.count.format(got=len(entries), want=count))
+    cs = _canonical([int(t) for t in found[0].group(1).split()])
+    if len(cs) > size:
+        raise ParseError(no, kind.size.format(deg=len(cs) - 1,
+                                              length=len(cs), size=size))
+    c = next(c for c in cs if c >= bound)
+    raise ParseError(no, f"{kind.value} {c} outside field of order {bound}")
 
 
 def _tuple_text(parts: Iterable[str]) -> str:
@@ -204,11 +231,20 @@ def _eof_line(text: str) -> int:
     return len(text.splitlines()) or 1
 
 
-def _parse_order(val: str, no: int, key: str) -> int:
-    got = re.fullmatch(r"(\d+)(?:\^(\d+))?", val)
+def read_order(text: str) -> int | None:
+    """The integer a field order written ``p`` or ``p^a`` stands for, or
+    None where ``text`` has neither form.  Whether it is a prime power
+    is left to the caller."""
+    got = _ORDER_RE.fullmatch(text)
     if not got:
+        return None
+    return int(got.group(1)) ** int(got.group(2) or 1)
+
+
+def _parse_order(val: str, no: int, key: str) -> int:
+    q = read_order(val)
+    if q is None:
         raise ParseError(no, f"header {key} must be p or p^a, got {val!r}")
-    q = int(got.group(1)) ** (int(got.group(2)) if got.group(2) else 1)
     try:
         make_field(q)
     except ValueError:
@@ -263,13 +299,6 @@ def _scan_headers(lines: list[tuple[int, str]], keys: tuple[str, ...],
     return vals, at, pos, body
 
 
-def _check_coeffs(coeffs: tuple[int, ...], bound: int, what: str,
-                  no: int) -> None:
-    for c in coeffs:
-        if c >= bound:
-            raise ParseError(no, f"{what} {c} outside field of order {bound}")
-
-
 # -- code spec files ------------------------------------------------------------
 
 
@@ -295,31 +324,10 @@ def _parse_generators(lines: list[tuple[int, str]], q: int, m: int,
         if not ln.startswith("- "):
             raise ParseError(
                 no, f"expected a '- (...)' generator line, got {ln!r}")
-        gen = _read_tuple(ln[2:], no, ell, _coeffs, q, m)
-        if gen is None:
-            gen = _checked_generator(ln[2:], q, m, ell, no)
-        gens.append(gen)
+        gens.append(_read_tuple(ln[2:], no, _GENERATOR, ell, q, m))
     if not gens:
         raise ParseError(eof, "generators block lists no generator tuples")
     return CodeSpec(q, m, ell, tuple(gens), None)
-
-
-def _checked_generator(text: str, q: int, m: int, ell: int, no: int
-                       ) -> tuple[tuple[int, ...], ...]:
-    """A generator tuple through the line-numbered checks."""
-    entries = _parse_tuple(text, no)
-    if len(entries) != ell:
-        raise ParseError(
-            no, f"generator tuple has {len(entries)} entries, index is {ell}")
-    gen = []
-    for cs in entries:
-        cs = _canonical(cs)
-        if len(cs) > m:
-            raise ParseError(
-                no, f"entry degree {len(cs) - 1} not below m = {m}")
-        _check_coeffs(cs, q, "coefficient", no)
-        gen.append(cs)
-    return tuple(gen)
 
 
 def _parse_constituents(lines: list[tuple[int, str]], q: int, m: int,
@@ -349,11 +357,8 @@ def _parse_constituents(lines: list[tuple[int, str]], q: int, m: int,
         rows = []
         while idx < len(lines) and lines[idx][1].startswith("row:"):
             no, ln = lines[idx]
-            text = ln.partition(":")[2]
-            coeffs = _read_tuple(text, no, ell, _coeffs, q, info.degree)
-            if coeffs is None:
-                coeffs = _checked_constituent(text, q, info.degree, ell, no)
-            rows.append(tuple(info.pack(cs) for cs in coeffs))
+            rows.append(_read_tuple(ln.partition(":")[2], no, _CONSTITUENT,
+                                    ell, q, info.degree))
             idx += 1
         cons.append(tuple(rows))
     if idx < len(lines):
@@ -361,25 +366,6 @@ def _parse_constituents(lines: list[tuple[int, str]], q: int, m: int,
             lines[idx][0],
             f"unexpected content after factor {t}: {lines[idx][1]!r}")
     return CodeSpec(q, m, ell, None, tuple(cons))
-
-
-def _checked_constituent(text: str, q: int, degree: int, ell: int, no: int
-                         ) -> list[tuple[int, ...]]:
-    """The coefficient vectors of a constituent row through the
-    line-numbered checks."""
-    entries = _parse_tuple(text, no)
-    if len(entries) != ell:
-        raise ParseError(no, f"row has {len(entries)} entries, index is {ell}")
-    row = []
-    for cs in entries:
-        cs = _canonical(cs)
-        if len(cs) > degree:
-            raise ParseError(
-                no, f"entry degree {len(cs) - 1} not below factor degree "
-                f"{degree}")
-        _check_coeffs(cs, q, "coefficient", no)
-        row.append(cs)
-    return row
 
 
 def _order_text(q: int) -> str:
@@ -445,45 +431,6 @@ def from_decomposition(dec: ConstituentDecomposition) -> CodeSpec:
 # -- matrix files --------------------------------------------------------------
 
 
-def _unpack_base(elem: int, p: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        out.append(elem % p)
-        elem //= p
-    return tuple(out)
-
-
-def _pack_base(coeffs: Sequence[int], p: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * p + c
-    return out
-
-
-def _elem_row(text: str, field: Field, n: int, no: int, length: str
-              ) -> tuple[int, ...]:
-    """One row of a matrix or database file, n entries long.  A line that
-    fails the cached reading goes through the line-numbered checks, which
-    raise its ParseError."""
-    row = _read_tuple(text, no, n, _element, field.char, field.degree)
-    if row is not None:
-        return row
-    entries = _parse_tuple(text, no)
-    if len(entries) != n:
-        raise ParseError(
-            no, f"row has {len(entries)} entries, {length} is {n}")
-    row = []
-    for cs in entries:
-        cs = _canonical(cs)
-        if len(cs) > field.degree:
-            raise ParseError(
-                no, f"entry has {len(cs)} coordinates, field degree is "
-                f"{field.degree}")
-        _check_coeffs(cs, field.char, "coordinate", no)
-        row.append(_pack_base(cs, field.char))
-    return tuple(row)
-
-
 def parse_matrix(text: str) -> MatrixSpec:
     """Parse a matrix file; raises ParseError on bad input."""
     lines = _content_lines(text)
@@ -495,14 +442,15 @@ def parse_matrix(text: str) -> MatrixSpec:
     for no, ln in lines[pos:]:
         if not ln.startswith("- "):
             raise ParseError(no, f"expected a '- (...)' row line, got {ln!r}")
-        rows.append(_elem_row(ln[2:], field, n, no, "length"))
+        rows.append(_read_tuple(ln[2:], no, _MATRIX_ROW, n, field.char,
+                                field.degree))
     if not rows:
         raise ParseError(eof, "rows block lists no rows")
     return MatrixSpec(q, n, tuple(rows))
 
 
 def _elem_text(elem: int, field: Field) -> str:
-    return poly_text(_unpack_base(elem, field.char, field.degree))
+    return poly_text(unpack_digits(elem, field.char, field.degree))
 
 
 def render_matrix(mat: MatrixSpec) -> str:
@@ -559,7 +507,8 @@ def parse_database(text: str
         rows = []
         while idx < len(lines) and lines[idx][1].startswith("- "):
             no2, ln2 = lines[idx]
-            rows.append(_elem_row(ln2[2:], field, n, no2, "record length"))
+            rows.append(_read_tuple(ln2[2:], no2, _DATABASE_ROW, n,
+                                    field.char, field.degree))
             idx += 1
         if not rows:
             raise ParseError(no, f"record q={q} n={n} k={k} lists no rows")

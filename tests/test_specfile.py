@@ -354,6 +354,16 @@ CONSTITUENTS = ("q: 2\nm: 3\nl: 2\nconstituents:\nfactor 1:\nfield: F_4\n"
     (parse, CONSTITUENTS.format("([1], [1])"),
      CONSTITUENTS.format("([1 1], [1])"),
      10, "entry degree 1 not below factor degree 1"),
+    (parse, CONSTITUENTS.format("([1], [1])"), CONSTITUENTS.format("([1])"),
+     10, "row has 1 entries, index is 2"),
+    # [2] is an element of F_3, not of the F_2 of factor 2
+    (parse, "q: 3\nm: 2\nl: 2\nconstituents:\nfactor 1:\nfield: F_3\n"
+     "row: ([2], [1])\nfactor 2:\nfield: F_3\nrow: ([1], [2])\n",
+     CONSTITUENTS.format("([1], [2])"),
+     10, "coefficient 2 outside field of order 2"),
+    (parse_database, "code 2 3 1:\n- ([1], [0], [1])\n",
+     "code 2 2 1:\n- ([1], [0], [1])\n",
+     2, "row has 3 entries, record length is 2"),
 ])
 def test_cached_entries_keep_every_parse_error(read, good, bad, line,
                                                message):
