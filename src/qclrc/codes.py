@@ -310,17 +310,27 @@ class LinearCode:
         return all(v == 0 for v in self.reduce(vec))
 
     def dual(self) -> "LinearCode":
-        """The code of vectors orthogonal to every generator row."""
-        F = self.field
-        n = self.n
-        free = [c for c in range(n) if c not in self.pivots]
-        basis = []
-        for f in free:
-            v = [0] * n
-            v[f] = 1
-            for row, p in zip(self.rows, self.pivots):
-                v[p] = F.neg(row[f])
-            basis.append(v)
+        """The code of vectors orthogonal to every generator row.
+
+        Rows R with a 1 at each pivot p, where every other row is 0, give
+        the dual the basis e_f - sum_p R_p[f] e_p, one vector per column
+        f that is no pivot (``_complement``).  From the RREF of the code,
+        where R_p[f] != 0 only for f > p, each vector ends in its 1: that
+        is the dual's reverse echelon form, reduced again by one rref of
+        n - k rows.  From the reverse RREF (the RREF of the rows with the
+        columns reversed, read back), where R_p[f] != 0 only for f < p,
+        each vector starts with its 1 and the basis is the dual's RREF as
+        it stands.  So the smaller side is reduced: the code's k rows
+        when 2k < n, the dual's n - k rows otherwise.
+        """
+        F, n = self.field, self.n
+        if 2 * self.k < n:
+            ech, rank, piv = rref([row[::-1] for row in self.rows], F)
+            rows = [row[::-1] for row in ech[:rank]]
+            basis, free = _complement(F, n, rows,
+                                      [n - 1 - c for c in piv])
+            return LinearCode(F, n, tuple(map(tuple, basis)), free)
+        basis, _ = _complement(F, n, self.rows, self.pivots)
         return LinearCode.from_rows(F, n, basis)
 
     def codewords(self):
@@ -338,6 +348,23 @@ class LinearCode:
             for coef, row in zip(msg, self.rows):
                 word = self.field.axpy(word, coef, row)
             yield tuple(word)
+
+
+def _complement(F: Field, n: int, rows: Sequence[Sequence[int]],
+                pivots: Sequence[int]
+                ) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The vectors e_f - sum_p R_p[f] e_p for each column f not in
+    ``pivots``, in increasing f, and those columns (``LinearCode.dual``)."""
+    taken = set(pivots)
+    free = tuple(c for c in range(n) if c not in taken)
+    basis = []
+    for f in free:
+        v = [0] * n
+        v[f] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = F.neg(row[f])
+        basis.append(v)
+    return basis, free
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +413,33 @@ def _encode(F: Field, D: np.ndarray, G: tuple[tuple[int, ...], ...]
         # otherwise within a quarter of 1/p of x / p, which is at least
         # 1/p from an integer; so the floor is exact.  It is several
         # times faster than the float remainder x % p.
-        C = D.astype(np.float64) @ X
+        C = D.astype(np.float64, copy=False) @ X
         T = np.divide(C, p)
         np.floor(T, out=T)
         T *= p
         C -= T
     else:
-        C = D @ X.astype(np.int64) % p
+        C = D.astype(np.int64) @ X.astype(np.int64) % p
     if e > 1:
         C = (C.reshape(-1, e) @ p ** np.arange(e)).reshape(len(D), -1)
     return C
 
 
 def _digits(idx: np.ndarray, base: int, k: int) -> np.ndarray:
-    """The k base-``base`` digits of each index, least significant
-    first."""
-    return idx[:, None] // base ** np.arange(k) % base
+    """The k base-``base`` digits of each index below base^k, least
+    significant first: float64 where base^k <= 2^50, int64 above."""
+    if base ** k > 1 << 50:
+        return idx[:, None] // base ** np.arange(k) % base
+    # Indices and places are integers below 2^50, so each floor of a
+    # quotient is exact by the argument in _encode; digit j is
+    # floor(idx / base^j) less base times its floor divided by base.
+    T = idx[:, None] / base ** np.arange(k)
+    np.floor(T, out=T)
+    U = T / base
+    np.floor(U, out=U)
+    U *= base
+    T -= U
+    return T
 
 
 def _projective_messages(F: Field, k: int, chunk: int):
@@ -438,7 +476,7 @@ def _weight_messages(F: Field, k: int, t: int, chunk: int):
         for lo in range(0, count, chunk):
             coef = np.ones((min(chunk, count - lo), t), dtype=np.int64)
             coef[:, :-1] += _digits(np.arange(lo, lo + len(coef)), q - 1,
-                                    t - 1)
+                                    t - 1).astype(np.int64)
             M = np.zeros((len(S) * len(coef), k), dtype=np.int64)
             rows = np.arange(len(M)).reshape(len(S), len(coef))
             M[rows[:, :, None], S[:, None, :]] = coef[None, :, :]

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .algebra import (Field, Poly, factor_unity, make_field, pack_digits,
                       unpack_digits)
 from .codes import LinearCode
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .qc import ConstituentDecomposition, QCCode, evaluate_constituents
 
 __all__ = [
@@ -249,6 +249,8 @@ def _parse_order(val: str, no: int, key: str) -> int:
         make_field(q)
     except ValueError:
         raise ParseError(no, f"not a prime power: {val}") from None
+    except ResourceLimitError as err:
+        raise ParseError(no, str(err)) from None
     return q
 
 

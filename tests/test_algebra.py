@@ -25,6 +25,7 @@ from qclrc.algebra import (
     make_prime_field,
     minimal_polynomial,
 )
+from qclrc.errors import ResourceLimitError
 
 
 def poly_of(field, coeffs):
@@ -63,6 +64,17 @@ def test_make_field_prime_power():
     assert f4.order == 4 and f4.char == 2 and f4.degree == 2
     with pytest.raises(ValueError):
         make_field(6)
+
+
+def test_make_field_factors_within_its_trial_bound():
+    # every order below 2^40 factors; a prime above it is refused
+    p = 1099511627689    # the largest prime below 2^40
+    assert make_field(p).order == p
+    assert make_field(3 ** 25).degree == 25
+    with pytest.raises(ValueError, match="not a prime power"):
+        make_field(1048573 * 1048571)
+    with pytest.raises(ResourceLimitError, match="cannot factor"):
+        make_field((1 << 61) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +252,34 @@ def test_arithmetic_tables_match_field_operations(rng, q):
 def test_arithmetic_tables_stop_at_256():
     with pytest.raises(ValueError, match="order 343"):
         algebra.multiplication_table(make_field(343))
+
+
+def test_multiplicative_generator_is_searched_once(monkeypatch):
+    # the splitting field F_5^5 of x^11 - 1 finds its generator once, for
+    # its tables, and it is the least element of full order
+    searched = []
+    search = algebra.Field._search_generator
+
+    def counted(self):
+        searched.append(self)
+        return search(self)
+
+    monkeypatch.setattr(algebra.Field, "_search_generator", counted)
+    big = algebra.unity_context(11, make_field(5)).splitting
+    assert searched == [big]
+    g = big.multiplicative_generator()
+    assert searched == [big]
+    for F in (make_field(4), make_field(9), make_field(49), big):
+        n = F.order - 1
+
+        def order(a):
+            x, t = a, 1
+            while x != 1:
+                x, t = F._mul_raw(x, a), t + 1
+            return t
+        least = next(a for a in range(2, F.order) if order(a) == n)
+        assert F.multiplicative_generator() == least
+    assert g == least
 
 
 def test_field_with_picked_kernels_pickles():

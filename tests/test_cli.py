@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -122,6 +123,21 @@ def test_factor_gcd_violation_exits_nonzero(capsys):
     assert code == 1
     assert out == ""
     assert "gcd(m, q) must be 1" in err
+
+
+def test_factor_over_a_large_prime_fails_fast():
+    # 2^61 - 1 is prime: trial division stops at its bound and the
+    # command ends with a one-line error instead of running on
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qclrc.cli", "factor", "--m", "3", "--q",
+         str((1 << 61) - 1)], capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cannot factor 2305843009213693951: trial division stops "
+        "at 1048576"]
 
 
 def test_factor_accepts_power_form_order(capsys):

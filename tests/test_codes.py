@@ -225,6 +225,78 @@ def test_dual_of_zero_and_full():
     assert LinearCode.full(F2, 5).dual() == LinearCode.zero(F2, 5)
 
 
+def orthogonal_basis(code):
+    """e_f - sum_p R_p[f] e_p for each non-pivot column f of the RREF."""
+    F = code.field
+    basis = []
+    for f in range(code.n):
+        if f in code.pivots:
+            continue
+        v = [0] * code.n
+        v[f] = 1
+        for row, p in zip(code.rows, code.pivots):
+            v[p] = F.sub(0, row[f])
+        basis.append(v)
+    return basis
+
+
+def assert_rref(code):
+    F = code.field
+    assert list(code.pivots) == sorted(set(code.pivots))
+    for i, (row, p) in enumerate(zip(code.rows, code.pivots)):
+        assert row[p] == 1 and not any(row[:p])
+        assert all(other[p] == 0 for j, other in enumerate(code.rows)
+                   if j != i)
+        assert all(type(x) is int and 0 <= x < F.order for x in row)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16, 27, 64, 127, 256,
+                               9, 25, 131, 3125])
+def test_dual_is_the_rref_of_the_orthogonal_basis(rng, q):
+    # byte-packed rref over F_2^a and the primes below 128, entry by entry
+    # over F_9, F_25, F_131 and F_3125; k on both sides of n/2, the zero
+    # and full codes, and n = 1
+    F = make_field(q)
+    shapes = [(1, 0), (1, 1), (6, 0), (6, 6)] + [
+        (n, k) for n in (2, 5, 8, 13) for k in (1, n // 2, n - 1)]
+    for n, k in shapes + [(rng.randint(1, 12), None) for _ in range(6)]:
+        k = rng.randint(0, n) if k is None else k
+        rows = [[rng.randrange(q) if rng.random() < 0.8 else 0
+                 for _ in range(n)] for _ in range(k)]
+        code = LinearCode.from_rows(F, n, rows)
+        dual = code.dual()
+        assert dual == LinearCode.from_rows(F, n, orthogonal_basis(code))
+        assert dual.k == n - code.k
+        assert_rref(dual)
+        for row in code.rows:
+            for drow in dual.rows:
+                acc = 0
+                for a, b in zip(row, drow):
+                    acc = F.add(acc, F.mul(a, b))
+                assert acc == 0
+        assert dual.dual() == code
+
+
+def test_power_column_dual_over_f3125_is_pinned():
+    # the [27, 24] code with parity columns (1, a, a^2) for the field
+    # elements a = 0..26 of F_3125: the block A of its RREF [I | A]
+    F = make_field(3125)
+    cols = [tuple(F.pow(a, e) for e in range(3)) for a in range(27)]
+    code = construct._from_parity_columns(F, cols)
+    assert code.pivots == tuple(range(24))
+    assert all(row[:24] == tuple(int(c == r) for c in range(24))
+               for r, row in enumerate(code.rows))
+    assert [row[24:] for row in code.rows] == [
+        (1430, 1937, 537), (1470, 1433, 1001), (236, 345, 348),
+        (753, 1633, 1398), (166, 2462, 1276), (1554, 1850, 1225),
+        (1586, 847, 1621), (374, 2960, 720), (883, 749, 2277),
+        (293, 1529, 2087), (1658, 1548, 703), (1687, 741, 1601),
+        (467, 2955, 1232), (1123, 840, 2091), (375, 1871, 2283),
+        (1872, 2471, 336), (1773, 1640, 1016), (545, 330, 529),
+        (1198, 1441, 1290), (597, 1948, 1389), (1296, 4, 1984),
+        (1319, 2549, 2566), (88, 1335, 1981), (733, 2547, 4)]
+
+
 # ---------------------------------------------------------------------------
 # minimum distance
 

@@ -125,6 +125,10 @@ def test_rejects_non_prime_power_order():
     check_error("q: 6\n", "not a prime power", 1)
 
 
+def test_rejects_order_too_large_to_factor():
+    check_error("q: 2305843009213693951\n", "cannot factor", 1)
+
+
 def test_rejects_malformed_order():
     check_error("q: five\n", "must be p or p\\^a", 1)
 
