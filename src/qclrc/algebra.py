@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ResourceLimitError
 
-# Log/antilog tables are built lazily for extension fields up to this
-# order, and trace tables for fields up to it.
+# Extension fields up to this order build log/antilog tables when they
+# are constructed, and trace tables are built for fields up to it.
 _TABLE_MAX = 1 << 16
 
 # Trial division tries no divisor above this, so every n below its square
@@ -96,12 +96,12 @@ class Field:
 
     Construct through :func:`make_prime_field`, :func:`make_field` or
     :func:`make_extension`; the constructor itself is internal.  Instances
-    are immutable values (the only mutable state is an internal table
-    cache); equality is structural on the modulus chain.
-
-    Row operations go through two kernels chosen once per field on first
-    use (``_pick_rows``): ``axpy(u, c, v)``, the row u + c*v, and
-    ``scale_row(c, v)``, the row c*v.
+    are immutable values; equality is structural on the modulus chain.
+    The constructor builds everything derived from the modulus: the
+    log/antilog tables of an extension field of at most ``_TABLE_MAX``
+    elements, and the two row kernels (``_pick_rows``):
+    ``axpy(u, c, v)``, the row u + c*v, and ``scale_row(c, v)``, the row
+    c*v.
     """
 
     __slots__ = ("char", "base", "modulus", "order", "degree", "_sig",
@@ -127,6 +127,9 @@ class Field:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
+        if base is not None and self.order <= _TABLE_MAX:
+            self._build_tables()
+        self.axpy, self.scale_row = self._pick_rows()
 
     # -- identity ---------------------------------------------------------
 
@@ -207,11 +210,9 @@ class Field:
             return b
         if b == 1:
             return a
-        if self._exp is None and self.order <= _TABLE_MAX:
-            self._build_tables()
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        if self._exp is None:
+            return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Schoolbook product of coefficient vectors, reduced by the modulus."""
@@ -268,11 +269,9 @@ class Field:
     def multiplicative_generator(self) -> int:
         """Smallest element (by index) of full multiplicative order.
 
-        An extension field of at most _TABLE_MAX elements finds it once,
-        while building its log/antilog tables, as g^1."""
-        if self.base is not None and self.order <= _TABLE_MAX:
-            if self._exp is None:
-                self._build_tables()
+        An extension field with log/antilog tables found it while
+        building them, as g^1."""
+        if self._exp is not None:
             return self._exp[1]
         return self._search_generator()
 
@@ -287,13 +286,15 @@ class Field:
         raise InternalConsistencyError("no multiplicative generator found")
 
     def _pow_raw(self, a: int, e: int) -> int:
+        """a^e for e >= 0 without tables: square-and-multiply over the
+        schoolbook product."""
+        if self.base is None:
+            return pow(a, e, self.char)
         out = 1
-        mul = self._mul_raw if self.base is not None else \
-            (lambda x, y: (x * y) % self.char)
         while e:
             if e & 1:
-                out = mul(out, a)
-            a = mul(a, a)
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
             e >>= 1
         return out
 
@@ -306,32 +307,15 @@ class Field:
             if e == 0:
                 return 1
             return 0
-        if self.base is not None and self._exp is None \
-                and self.order <= _TABLE_MAX:
-            self._build_tables()
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(self._log[a] * e) % n]
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        if self._exp is None:
+            return self._pow_raw(a, e)
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     def __reduce__(self):
-        # The picked row kernels are closures; a copy picks its own.
+        # The row kernels are closures; a copy builds its own.
         return Field, (self.char, self.base, self.modulus)
 
     # -- row kernels --------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        # The slots axpy and scale_row are filled on first use.
-        if name not in ("axpy", "scale_row"):
-            raise AttributeError(name)
-        self.axpy, self.scale_row = self._pick_rows()
-        return getattr(self, name)
 
     def _pick_rows(self) -> tuple[Callable, Callable]:
         """This field's row kernels, axpy(u, c, v) = u + c*v and
@@ -351,9 +335,7 @@ class Field:
 
             def scale_row(c, v):
                 return [c * b % p for b in v]
-        elif self.order <= _TABLE_MAX:
-            if self._exp is None:
-                self._build_tables()
+        elif self._exp is not None:
             exp, log, zech = self._exp, self._log, self._zech
 
             def scale_row(c, v):
@@ -424,14 +406,18 @@ class Field:
         return self.degree // sub.degree
 
 
-@lru_cache(maxsize=None)
 def make_prime_field(p: int) -> Field:
-    """The prime field F_p.
+    """The prime field F_p, the same object ``make_field(p)`` returns.
 
     Rejects composite p with a diagnostic.
     """
     if not _is_prime(p):
         raise ValueError(f"not prime: {p}")
+    return _prime_field(p)
+
+
+@lru_cache(maxsize=None)
+def _prime_field(p: int) -> Field:
     return Field(p, None, None)
 
 
@@ -471,7 +457,7 @@ def make_field(q: int) -> Field:
     while n % p == 0:
         n //= p
         a += 1
-    fp = make_prime_field(p)
+    fp = _prime_field(p)
     if a == 1:
         return fp
     return make_extension(fp, find_irreducible(fp, a))
@@ -491,8 +477,6 @@ def multiplication_table(field: Field) -> np.ndarray:
     if field.is_prime:
         mul = (idx[:, None] * idx) % p
     else:
-        if field._exp is None:
-            field._build_tables()
         log = np.array(field._log)
         mul = np.array(field._exp)[log[:, None] + log]
         mul[0, :] = mul[:, 0] = 0
@@ -867,7 +851,8 @@ class FactorInfo:
 
     ``ext_field`` realizes F_q adjoined the factor's root; ``root`` is that
     root's index inside ext_field (the class of x for factors of degree at
-    least 2, the literal base-field root for linear factors).
+    least 2, the literal base-field root for linear factors), and
+    ``root_powers[e]`` is root^e for e below m.
     """
 
     poly: Poly
@@ -875,8 +860,7 @@ class FactorInfo:
     rep: int
     ext_field: Field
     root: int
-    _root_powers: dict[int, int] = dc_field(default_factory=dict, repr=False,
-                                            compare=False)
+    root_powers: tuple[int, ...] = dc_field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -898,20 +882,10 @@ class FactorInfo:
 
         Reduction of a mod the factor gives the coefficient vector of the
         value in the root (a remainder already of lower degree is used as
-        it is); for linear factors this is Horner evaluation.
+        it is); for a linear factor x - c the remainder is a(c).
         """
-        if self.degree == 1:
-            return a.eval_at(self.root, self.ext_field)
         rem = a if a.degree < self.degree else a.mod(self.poly)
         return self.pack(rem.coeffs + (0,) * (self.degree - len(rem.coeffs)))
-
-    def root_power(self, e: int) -> int:
-        """The root raised to e, memoized."""
-        e %= max(self.coset.m, 1)
-        got = self._root_powers.get(e)
-        if got is None:
-            got = self._root_powers[e] = self.ext_field.pow(self.root, e)
-        return got
 
 
 @dataclass(frozen=True)
@@ -972,7 +946,8 @@ def _factor_unity(m: int, field: Field) -> Factorization:
         else:
             ext = make_extension(field, poly)
             root = ext.gen
-        infos.append(FactorInfo(poly, coset, coset.rep, ext, root))
+        powers = tuple(ext.pow(root, e) for e in range(m))
+        infos.append(FactorInfo(poly, coset, coset.rep, ext, root, powers))
     prod = Poly.one(field)
     for info in infos:
         prod = prod.mul(info.poly)

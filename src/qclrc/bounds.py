@@ -385,9 +385,7 @@ def recover_symbol(dec: ConstituentDecomposition,
 def recovery_check(dec: ConstituentDecomposition, coordinate: int,
                    rng) -> RecoveryTrial:
     """Draw a random codeword, erase one coordinate, and recover it."""
-    rows = dec._dcache.get("genmat")
-    if rows is None:
-        rows = dec._dcache["genmat"] = generator_matrix(dec)
+    rows = generator_matrix(dec)
     F = dec.field
     word = [0] * dec.n
     for row in rows:

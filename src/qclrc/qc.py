@@ -77,7 +77,7 @@ class ConstituentDecomposition:
     x^m - 1, aligned with the factorization order.
 
     ``_dcache`` records each constituent distance found, by 1-based
-    index, and the generator matrix under "genmat".
+    index.
     """
 
     fact: Factorization
@@ -250,7 +250,8 @@ def trace_codeword(dec: ConstituentDecomposition,
             continue
         E = info.ext_field
         trace = trace_map(E, F)
-        powers = [info.root_power(m - g) for g in range(m)]
+        # root^(m - g) for each row g
+        powers = [info.root_powers[-g] for g in range(m)]
         for j, x in enumerate(lam):
             if x:
                 traces = list(map(trace, E.scale_row(x, powers)))
@@ -288,7 +289,7 @@ def _trace_construction(dec: ConstituentDecomposition
         for v in code.rows:
             for t in range(info.degree):
                 rows = list(zero_rows)
-                rows[i] = E.scale_row(info.root_power(t), v)
+                rows[i] = E.scale_row(info.root_powers[t], v)
                 out.append(flatten(trace_codeword(dec, rows)))
     code = LinearCode.from_rows(dec.field, dec.n, out)
     if code.k != dec.dimension():

@@ -7,6 +7,7 @@ irreducibility, direct power sums for traces).
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -75,6 +76,25 @@ def test_make_field_factors_within_its_trial_bound():
         make_field(1048573 * 1048571)
     with pytest.raises(ResourceLimitError, match="cannot factor"):
         make_field((1 << 61) - 1)
+
+
+def test_make_field_trial_divides_a_prime_once(monkeypatch):
+    factored = []
+    factor = algebra._prime_factors
+
+    def counted(n):
+        factored.append(n)
+        return factor(n)
+    monkeypatch.setattr(algebra, "_prime_factors", counted)
+    p = 1_000_003
+    F = make_field(p)
+    assert factored == [p]
+    # the primality check of make_prime_field is its own one division,
+    # and both return one object
+    assert make_prime_field(p) is F
+    assert factored == [p, p]
+    assert make_field(p ** 2).base is F
+    assert factored == [p, p, p ** 2]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +310,34 @@ def test_field_with_picked_kernels_pickles():
         # hashed once, to the value of the signature: set orders stay put
         assert hash(G) == hash(F) == hash(F._sig)
         assert G.axpy([1, 0], 1, [1, 1]) == F.axpy([1, 0], 1, [1, 1])
+
+
+def test_field_state_is_built_by_the_constructor():
+    """Tables, row kernels and the generator are set when a field is
+    made: no operation changes any slot afterwards, on prime fields, on
+    extension fields with tables and on one above _TABLE_MAX."""
+    fields = [make_field(q) for q in (7, 4, 9, 3125, 5 ** 7)]
+    assert fields[-1].order > algebra._TABLE_MAX > fields[-2].order
+    slots = algebra.Field.__slots__
+    made = [[getattr(F, s, None) for s in slots] for F in fields]
+    for F in fields:
+        q, top = F.order, F.order - 1
+        assert F.mul(2, top) == F.mul(top, 2)
+        assert F.mul(top, F.inv(top)) == 1
+        assert F.pow(2, q - 1) == 1
+        g = F.multiplicative_generator()
+        assert F.pow(g, top) == 1
+        assert F.axpy([1, top], g, [top, 0]) == [
+            F.add(1, F.mul(g, top)), top]
+        assert F.scale_row(g, [0, 1]) == [0, g]
+        if q <= 256:
+            algebra.multiplication_table(F)
+        prime = F.chain()[0]
+        assert field_trace(top, F, prime) < prime.order
+    for F, before in zip(fields, made):
+        after = [getattr(F, s, None) for s in slots]
+        changed = [s for s, a, b in zip(slots, before, after) if a is not b]
+        assert changed == [], F
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +576,31 @@ def test_factor_roots_vanish():
             assert ext.pow(f.root, m) == 1
 
 
-def test_factor_eval_matches_direct_powering():
-    # evaluation by reduction equals evaluation at the root by Horner
+def test_factor_eval_matches_direct_powering(rng):
+    # evaluation by reduction equals evaluation at the root by Horner;
+    # x^5 - 1 splits into linear factors over F_11, so there each
+    # remainder mod x - c is the value at a root c other than 1
     fact = factor_unity(7, 2)
     f2 = fact.field
     for idx in range(2 ** 7):
         a = Poly(f2, [(idx >> t) & 1 for t in range(7)])
         for f in fact.factors:
             assert f.eval(a) == a.eval_at(f.root, f.ext_field)
+    fact = factor_unity(5, 11)
+    for _ in range(20):
+        a = Poly(fact.field, [rng.randrange(11) for _ in range(5)])
+        for f in fact.factors:
+            assert f.eval(a) == a.eval_at(f.root, f.ext_field)
+
+
+def test_factor_root_powers():
+    for m, q in ((5, 11), (7, 2), (11, 5), (1, 3)):
+        for f in factor_unity(m, q).factors:
+            E = f.ext_field
+            assert f.root_powers == tuple(E.pow(f.root, e) for e in range(m))
+            # the powers are derived data: equality and hashing skip them
+            bare = dataclasses.replace(f, root_powers=())
+            assert bare == f and hash(bare) == hash(f)
 
 
 def test_factor_by_member():

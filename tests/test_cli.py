@@ -235,6 +235,18 @@ def test_analyze_internal_error_is_one_line(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_zero_locality_is_a_one_line_error(capsys, tmp_path, command):
+    # m = 1 leaves locality_upper at m - 1 = 0, where the Singleton-type
+    # bound is undefined; analyze and scan refuse it alike
+    path = tmp_path / "m1.txt"
+    path.write_text("q: 2\nm: 1\nl: 3\ngenerators:\n- ([1], [1], [0])\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: locality must be positive, got 0\n"
+
+
 def test_analyze_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "absent.txt"))
     assert code == 1

@@ -119,6 +119,24 @@ def test_greedy_columns_match_subset_span_definition():
         (1, 1, 3, 2), (1, 2, 0, 4), (1, 4, 1, 3), (1, 4, 2, 0))
 
 
+def test_greedy_rung_is_bounded_by_its_work():
+    # at most (q^red - 1) q^red steps: binary red 11 and 13 at d = 4
+    # would scan for about 0.6 and 15 s (2-core x86-64), so both are
+    # refused before the scan starts, while the 91 projective points of
+    # F_9^3 are admitted
+    assert _greedy_columns(F2, 13, 4) == ()
+    assert _greedy_columns(F2, 11, 4) == ()
+    assert len(_greedy_columns(make_field(9), 3, 3)) == 91
+    # every key beyond 10^5 candidate columns stays refused
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 125):
+        red = 1
+        while q ** red - 1 <= 100_000:
+            red += 1
+        assert _greedy_columns(make_field(q), red, 4) == (), q
+    # the largest key of the 4.6 ladder is admitted
+    assert len(_greedy_columns(F5, 4, 4)) == 16
+
+
 def test_exact_code_quadric_columns():
     assert params(exact_code(F5, 17, 13, 4)) == (17, 13, 4)
     assert params(exact_code(F5, 21, 17, 4)) == (21, 17, 4)

@@ -8,7 +8,10 @@ Distance budgets travel as one ``codes.Budget`` value: no function takes
 or passes the old ``enum_budget``/``rank_budget`` keywords, and only
 codes.py reads a budget's fields.  Row operations go through the field's
 row kernels: no comprehension outside the ``Field`` class combines a field
-``add``/``sub`` with a ``mul`` entry by entry.
+``add``/``sub`` with a ``mul`` entry by entry.  An object's private state
+is its own: no function writes to, writes into, or calls a
+single-underscore attribute of an object other than ``self`` or ``cls``,
+except for the writes listed in ``FOREIGN_PRIVATE_WRITES``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ SEARCHED = ("src", "tests", "perfbench")
 OLD_BUDGET_KEYWORDS = {"enum_budget", "rank_budget"}
 BUDGET_FIELDS = {"enum", "rank"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+FOREIGN_PRIVATE_WRITES = {
+    # The factorization keeps one cyclic subcode per index set, filled
+    # here; perfbench/tracer.py reads the dict to count cache hits, so it
+    # stays a dict on the factorization until the tracer reads a record
+    # of its own.
+    "codes.subcode_from_bz: fact._subcode_cache",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -148,3 +158,70 @@ def test_row_loops_use_the_kernel():
             if called & {"add", "sub"} and "mul" in called:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+class _ForeignPrivate(ast.NodeVisitor):
+    """``module.function: object._attribute`` for every write to or into,
+    and every call of, a single-underscore attribute of an object other
+    than ``self`` or ``cls``."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _note(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Attribute) and _is_private(node.attr) and \
+                not (isinstance(node.value, ast.Name)
+                     and node.value.id in ("self", "cls")):
+            where = ".".join([self.module] + self.scope)
+            self.found.append(f"{where}: {ast.unparse(node)}")
+
+    def _target(self, node: ast.AST) -> None:
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for elt in node.elts:
+                self._target(elt)
+            return
+        while isinstance(node, (ast.Subscript, ast.Starred)):
+            node = node.value   # a write into the attribute
+        self._note(node)
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            self._target(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        self._target(node.target)
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_AugAssign
+
+    def visit_Delete(self, node):
+        for target in node.targets:
+            self._target(target)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        self._note(node.func)
+        self.generic_visit(node)
+
+
+def test_private_state_is_written_by_its_owner():
+    found = set()
+    for path in _modules():
+        visitor = _ForeignPrivate(path.stem)
+        visitor.visit(_tree(path))
+        found |= set(visitor.found)
+    assert found == FOREIGN_PRIVATE_WRITES
