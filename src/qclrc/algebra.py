@@ -46,6 +46,9 @@ _TABLE_MAX = 1 << 16
 # takes about 0.3 s.
 _TRIAL_DIVISOR_MAX = 1 << 20
 
+# Candidates per batch of the generator search over an extension field.
+_GENERATOR_BATCH = 8
+
 
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of n, by trial division up to
@@ -72,6 +75,19 @@ def _prime_factors(n: int) -> list[int]:
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
+
+
+def _matrix_power(maps: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Each matrix of a stack raised to the power e >= 1, mod p, by
+    square-and-multiply."""
+    out = None
+    while True:
+        if e & 1:
+            out = maps if out is None else out @ maps % p
+        e >>= 1
+        if not e:
+            return out
+        maps = maps @ maps % p
 
 
 def pack_digits(digits: Sequence[int], base: int) -> int:
@@ -238,18 +254,16 @@ class Field:
 
         Addition is digitwise mod p on the base-p digits of an index, so
         multiplication by g is an F_p-linear map of those digits: the
-        index of g*a is found for every a at once from the images of the
-        places p^j, and the powers of g follow that map from 1.  Below
-        _TABLE_MAX = 2^16 elements every index and digit sum fits int32.
+        index of g*a is found for every a at once from g's map, and the
+        powers of g follow that map from 1.  Below _TABLE_MAX = 2^16
+        elements every index and digit sum fits int32.
         """
-        g = self._search_generator()
+        g, image_digits = self._search_generator()
         p, n = self.char, self.order - 1
         places = p ** np.arange(self.degree, dtype=np.int32)
-        images = np.array([self._mul_raw(g, int(b)) for b in places],
-                          dtype=np.int32)
         digits = np.arange(self.order, dtype=np.int32)[:, None] // places % p
-        image_digits = images[:, None] // places % p
-        times_g = (digits @ image_digits % p @ places).tolist()
+        times_g = (digits @ image_digits.astype(np.int32) % p
+                   @ places).tolist()
         exp = [1] * n
         for t in range(1, n):
             exp[t] = times_g[exp[t - 1]]
@@ -273,16 +287,54 @@ class Field:
         building them, as g^1."""
         if self._exp is not None:
             return self._exp[1]
-        return self._search_generator()
+        return self._search_generator()[0]
 
-    def _search_generator(self) -> int:
+    def _search_generator(self) -> tuple[int, np.ndarray | None]:
+        """The smallest element g (by index) of full multiplicative order,
+        with, over an extension field, the matrix over F_p of
+        multiplication by g on base-p digits (row j: the digits of g*p^j).
+
+        A candidate c has full order iff c^(n/r) != 1 for every prime r
+        dividing n = q - 1.  Over F_p that is tested by ``pow``.  Over an
+        extension field the map of c is linear in the digits of c, so the
+        maps of the ``degree`` places p^i give the maps of a batch of
+        candidates in one einsum; the powers are taken by square-and-
+        multiply of those matrices mod p, and c^e = 1 iff the map of c^e
+        is the identity.  Batches run in index order, so the least
+        candidate that passes is the least generator.  They start at the
+        order of the base field: the indices below it are the base field's
+        elements, whose orders divide its order minus one, so none has
+        full order.
+        """
         n = self.order - 1
         if n == 1:
-            return 1
+            return 1, None
         primes = _prime_factors(n)
-        for cand in range(2, self.order):
-            if all(self._pow_raw(cand, n // r) != 1 for r in primes):
-                return cand
+        p = self.char
+        if self.base is None:
+            g = next(c for c in range(2, self.order)
+                     if all(pow(c, n // r, p) != 1 for r in primes))
+            return g, None
+        D = self.degree
+        # entries stay below p, so a product of two maps sums D terms
+        # below p^2; past int64 the arithmetic is done in Python ints
+        dtype = np.int64 if D * (p - 1) ** 2 < 1 << 63 else object
+        places = [p ** j for j in range(D)]
+        basis = np.array([[unpack_digits(self._mul_raw(a, b), p, D)
+                           for b in places] for a in places], dtype=dtype)
+        eye = np.eye(D, dtype=dtype)
+        for start in range(self.base.order, self.order, _GENERATOR_BATCH):
+            cands = range(start, min(start + _GENERATOR_BATCH, self.order))
+            digits = np.array([unpack_digits(c, p, D) for c in cands],
+                              dtype=dtype)
+            maps = np.einsum("ci,ijk->cjk", digits, basis) % p
+            full = np.ones(len(cands), dtype=bool)
+            for r in primes:
+                full &= ~(_matrix_power(maps, n // r, p) == eye).all(
+                    axis=(1, 2))
+            if full.any():
+                c = int(full.argmax())
+                return cands[c], maps[c]
         raise InternalConsistencyError("no multiplicative generator found")
 
     def _pow_raw(self, a: int, e: int) -> int:
@@ -895,6 +947,8 @@ class Factorization:
     Factors are ordered by nonzero representative ascending, with the
     x - 1 factor (representative 0) last.  ``_subcode_cache`` maps an
     index set to its associated cyclic code (see ``codes.subcode_from_bz``).
+    The factors follow from (m, field), so the hash, taken once in the
+    constructor, is that of the pair and reads no factor.
     """
 
     m: int
@@ -902,6 +956,13 @@ class Factorization:
     factors: tuple[FactorInfo, ...]
     _subcode_cache: dict = dc_field(default_factory=dict, repr=False,
                                     compare=False)
+    _hash: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.m, self.field)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_factors(self) -> int:

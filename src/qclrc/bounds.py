@@ -27,19 +27,20 @@ one-erasure recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from math import ceil
 from typing import Mapping, Sequence
 
+from .algebra import Factorization
 from .codes import (Budget, min_distance, min_weight_codeword,
                     subcode_distance, subcode_from_bz)
 from .errors import InternalConsistencyError
 from .qc import (
     MAX_SUBSET_FACTORS,
     ConstituentDecomposition,
-    associated_cyclic_codes,
-    distance_sorted_order,
     generator_matrix,
+    report_subsets,
 )
 
 STATUS_OPTIMAL = "optimal"
@@ -68,16 +69,23 @@ def locality_upper(dec: ConstituentDecomposition, *,
     the other positions of one dual codeword's support, giving locality
     at most its minimum weight minus one (and never above m - 1).  A
     zero dual yields no dual-side bound and the trivial m - 1 stands.
+    The bound reads only the factorization and the nonzero set, and is
+    computed once per process for each pair and budget.
     """
     nz = dec.nonzero_indices()
     if not nz:
         raise ValueError("zero code has no locality")
-    m = dec.m
-    dual = subcode_from_bz(nz, dec.fact).dual()
+    return _locality_upper(dec.fact, nz, budget)
+
+
+@lru_cache(maxsize=None)
+def _locality_upper(fact: Factorization, nz: tuple[int, ...],
+                    budget: Budget) -> int:
+    dual = subcode_from_bz(nz, fact).dual()
     if dual.k == 0:
-        return m - 1
+        return fact.m - 1
     d_dual = min_distance(dual.linear_code(), budget=budget)
-    return min(d_dual - 1, m - 1)
+    return min(d_dual - 1, fact.m - 1)
 
 
 def r_term(ordered: Sequence[int], cdist: Mapping[int, int],
@@ -133,9 +141,24 @@ class GoBound:
     certificate: str
 
 
-def _range_ddist(dec: ConstituentDecomposition, order: tuple[int, ...],
+# The distance bounds read a decomposition through its factorization and
+# its distance profile: the (index, constituent distance) pairs of the
+# nonzero constituents, by index.  Members of an extension family share
+# both, so each bound is computed once per process for each
+# (factorization, profile, budget).
+Profile = tuple[tuple[int, int], ...]
+
+
+def _profile(dec: ConstituentDecomposition, budget: Budget) -> Profile:
+    nz = dec.nonzero_indices()
+    if not nz:
+        raise ValueError("zero code has no distance bound")
+    return tuple((i, dec.constituent_distance(i, budget=budget))
+                 for i in nz)
+
+
+def _range_ddist(fact: Factorization, order: tuple[int, ...],
                  budget: Budget) -> dict[frozenset[int], int]:
-    fact = dec.fact
     ddist: dict[frozenset[int], int] = {}
     h = len(order)
     for start in range(h):
@@ -146,11 +169,11 @@ def _range_ddist(dec: ConstituentDecomposition, order: tuple[int, ...],
     return ddist
 
 
-def _suffix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
+def _suffix_terms(fact: Factorization, order: tuple[int, ...],
                   cdist: dict[int, int], budget: Budget
                   ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Telescoped bound terms for every suffix of the ordering."""
-    ddist = _range_ddist(dec, order, budget)
+    ddist = _range_ddist(fact, order, budget)
     h = len(order)
     out = []
     for t in range(1, h + 1):
@@ -159,12 +182,11 @@ def _suffix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
     return tuple(out)
 
 
-def _prefix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
+def _prefix_terms(fact: Factorization, order: tuple[int, ...],
                   cdist: dict[int, int], budget: Budget
                   ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Prefix-product bound terms: last constituent distance of the
     prefix times the prefix set's subcode distance."""
-    fact = dec.fact
     out = []
     for c in range(1, len(order) + 1):
         s = tuple(sorted(order[:c]))
@@ -173,10 +195,12 @@ def _prefix_terms(dec: ConstituentDecomposition, order: tuple[int, ...],
     return tuple(out)
 
 
-def _tie_consistent_orderings(dec: ConstituentDecomposition,
-                              cdist: dict[int, int], budget: Budget
-                              ) -> list[tuple[int, ...]]:
-    canonical = distance_sorted_order(dec, budget=budget)
+def _tie_consistent_orderings(profile: Profile) -> list[tuple[int, ...]]:
+    """The nonzero indices sorted by distance descending, index ascending
+    (``qc.distance_sorted_order``), with every reordering inside runs of
+    equal distance while there are at most MAX_SUBSET_FACTORS indices."""
+    canonical = [i for i, _ in sorted(profile, key=lambda t: (-t[1], t[0]))]
+    cdist = dict(profile)
     groups: list[list[int]] = []
     for i in canonical:
         if groups and cdist[groups[-1][0]] == cdist[i]:
@@ -184,18 +208,18 @@ def _tie_consistent_orderings(dec: ConstituentDecomposition,
         else:
             groups.append([i])
     if len(canonical) > MAX_SUBSET_FACTORS or all(len(g) == 1 for g in groups):
-        return [canonical]
+        return [tuple(canonical)]
     return [tuple(i for block in combo for i in block)
             for combo in product(*[list(permutations(g)) for g in groups])]
 
 
-def _best_over_orders(dec: ConstituentDecomposition,
+def _best_over_orders(fact: Factorization, profile: Profile,
                       orders: Sequence[tuple[int, ...]], term_func,
-                      certificate: str, cdist: dict[int, int],
-                      budget: Budget) -> GoBound:
+                      certificate: str, budget: Budget) -> GoBound:
+    cdist = dict(profile)
     best: GoBound | None = None
     for order in orders:
-        terms = term_func(dec, order, cdist, budget)
+        terms = term_func(fact, order, cdist, budget)
         value = min(v for _, v in terms)
         if best is None or value > best.value or \
                 (value == best.value and order < best.order):
@@ -219,13 +243,15 @@ def go_bound(dec: ConstituentDecomposition, *,
     codeword below this value; prefix_bound never overshoots and should
     back any exhaustive verification.
     """
-    nz = dec.nonzero_indices()
-    if not nz:
-        raise ValueError("zero code has no distance bound")
-    cdist = {i: dec.constituent_distance(i, budget=budget) for i in nz}
-    orderings = _tie_consistent_orderings(dec, cdist, budget)
-    return _best_over_orders(dec, orderings, _suffix_terms, CERT_TELESCOPE,
-                             cdist, budget)
+    return _go_bound(dec.fact, _profile(dec, budget), budget)
+
+
+@lru_cache(maxsize=None)
+def _go_bound(fact: Factorization, profile: Profile,
+              budget: Budget) -> GoBound:
+    return _best_over_orders(fact, profile,
+                             _tie_consistent_orderings(profile),
+                             _suffix_terms, CERT_TELESCOPE, budget)
 
 
 def prefix_bound(dec: ConstituentDecomposition, *,
@@ -241,16 +267,19 @@ def prefix_bound(dec: ConstituentDecomposition, *,
     MAX_SUBSET_FACTORS, tie-consistent sorted orders beyond that) and
     the largest bound is returned.
     """
-    nz = dec.nonzero_indices()
-    if not nz:
-        raise ValueError("zero code has no distance bound")
-    cdist = {i: dec.constituent_distance(i, budget=budget) for i in nz}
+    return _prefix_bound(dec.fact, _profile(dec, budget), budget)
+
+
+@lru_cache(maxsize=None)
+def _prefix_bound(fact: Factorization, profile: Profile,
+                  budget: Budget) -> GoBound:
+    nz = tuple(i for i, _ in profile)
     if len(nz) <= MAX_SUBSET_FACTORS:
-        orders = [tuple(p) for p in permutations(sorted(nz))]
+        orders = list(permutations(nz))
     else:
-        orders = _tie_consistent_orderings(dec, cdist, budget)
-    return _best_over_orders(dec, orders, _prefix_terms, CERT_PREFIX,
-                             cdist, budget)
+        orders = _tie_consistent_orderings(profile)
+    return _best_over_orders(fact, profile, orders, _prefix_terms,
+                             CERT_PREFIX, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +338,7 @@ def full_report(dec: ConstituentDecomposition, *,
     go = go_bound(dec, budget=budget)
     r_up = locality_upper(dec, budget=budget)
     d_s = singleton_bound(n, k, r_up)
-    assoc = associated_cyclic_codes(dec, order=go.order, budget=budget)
-    subdist = tuple((s, assoc.distance(s, budget=budget))
-                    for s in assoc.subsets)
+    subdist = _subset_distances(dec.fact, go.order, budget)
     cdist = tuple(dec.constituent_distance(i, budget=budget)
                   for i in go.order)
     pos_of = {f: p for p, f in enumerate(go.order, 1)}
@@ -322,6 +349,18 @@ def full_report(dec: ConstituentDecomposition, *,
                         order=go.order, constituent_distances=cdist,
                         subcode_distances=subdist, terms=terms,
                         certificate=go.certificate, status=status)
+
+
+@lru_cache(maxsize=None)
+def _subset_distances(fact: Factorization, order: tuple[int, ...],
+                      budget: Budget
+                      ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The report's subset distance table: each position set of
+    ``report_subsets`` with the distance of the associated code of the
+    factors at those positions of ``order``."""
+    return tuple(
+        (s, subcode_distance(fact, [order[p - 1] for p in s], budget=budget))
+        for s in report_subsets(len(order)))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ next to no cost.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain, combinations, islice, repeat
 from math import comb
@@ -255,13 +255,22 @@ class LinearCode:
     """A linear code of length n, stored as an RREF generator matrix.
 
     ``rows`` holds only the nonzero rows, so the dimension is len(rows).
-    The zero code has an empty row tuple.
+    The zero code has an empty row tuple.  Every cache keyed by a code
+    hashes it, so the hash is taken once, in the constructor.
     """
 
     field: Field
     n: int
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
+    _hash: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.field, self.n, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_rows(cls, field: Field, n: int,

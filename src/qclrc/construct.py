@@ -111,8 +111,10 @@ def _greedy_columns(field: Field, red: int, d: int
     columns combine to it.  ``covered`` maps every such combination to
     the fewest chosen columns that reach it, so the test is one lookup;
     an accepted column extends every entry still below d-2 columns by
-    each of its nonzero multiples.  A key whose scan could take more than
-    GREEDY_WORK_BUDGET steps gets no columns.
+    each of its nonzero multiples.  At d = 2 no entry is ever below 0
+    columns, so only the zero column is covered and the multiples are not
+    formed.  A key whose scan could take more than GREEDY_WORK_BUDGET
+    steps gets no columns.
     """
     q = field.order
     if (q ** red - 1) * q ** red > GREEDY_WORK_BUDGET:
@@ -124,6 +126,8 @@ def _greedy_columns(field: Field, red: int, d: int
         if col in covered:
             continue
         chosen.append(col)
+        if d <= 2:
+            continue
         multiples = [field.scale_row(a, col) for a in range(1, q)]
         for vec, t in list(covered.items()):
             if t < d - 2:

@@ -16,10 +16,12 @@ every column of the array down by one row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .algebra import Factorization, Field, Poly, factor_unity, trace_map
+from .algebra import (FactorInfo, Factorization, Field, Poly, factor_unity,
+                      trace_map)
 from .codes import (Budget, CyclicCode, LinearCode, min_distance,
                     subcode_from_bz, subcode_distance)
 from .errors import InternalConsistencyError
@@ -77,13 +79,17 @@ class ConstituentDecomposition:
     x^m - 1, aligned with the factorization order.
 
     ``_dcache`` records each constituent distance found, by 1-based
-    index.
+    index.  The dimension and the nonzero indices are found once, in the
+    constructor.
     """
 
     fact: Factorization
     ell: int
     constituents: tuple[LinearCode, ...]
     _dcache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _dimension: int = dc_field(init=False, repr=False, compare=False)
+    _nonzero: tuple[int, ...] = dc_field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if len(self.constituents) != self.fact.num_factors:
@@ -98,6 +104,12 @@ class ConstituentDecomposition:
             if code.n != self.ell:
                 raise ValueError(
                     f"constituent length {code.n} != index {self.ell}")
+        object.__setattr__(self, "_dimension", sum(
+            c.k * info.degree
+            for c, info in zip(self.constituents, self.fact.factors)))
+        object.__setattr__(self, "_nonzero", tuple(
+            i + 1 for i, c in enumerate(self.constituents)
+            if not c.is_zero()))
 
     @property
     def field(self) -> Field:
@@ -112,13 +124,11 @@ class ConstituentDecomposition:
         return self.m * self.ell
 
     def dimension(self) -> int:
-        return sum(c.k * info.degree
-                   for c, info in zip(self.constituents, self.fact.factors))
+        return self._dimension
 
     def nonzero_indices(self) -> tuple[int, ...]:
         """1-based indices of the factors with a nonzero constituent."""
-        return tuple(i + 1 for i, c in enumerate(self.constituents)
-                     if not c.is_zero())
+        return self._nonzero
 
     def constituent_distance(self, i: int, *,
                              budget: Budget = Budget()) -> int:
@@ -139,30 +149,35 @@ def evaluate_constituents(code: QCCode,
 
     Each entry is reduced modulo the factor once and the remainder is
     evaluated; the value is zero exactly when the remainder is, and the
-    two conditions are cross-checked.  The row spans over the factor
-    fields form the constituent codes.
+    two conditions are cross-checked.  An entry's values at every root
+    are computed once per process for each (factorization, entry).  The
+    row spans over the factor fields form the constituent codes.
     """
     if fact is None:
         fact = factor_unity(code.m, code.field)
     if fact.m != code.m or fact.field != code.field:
         raise ValueError("factorization does not match the code")
-    constituents = []
+    values = [[_root_values(fact, a) for a in gen] for gen in code.generators]
+    constituents = tuple(
+        LinearCode.from_rows(info.ext_field, code.ell,
+                             [[v[f] for v in row] for row in values])
+        for f, info in enumerate(fact.factors))
+    return ConstituentDecomposition(fact, code.ell, constituents)
+
+
+@lru_cache(maxsize=None)
+def _root_values(fact: Factorization, a: Poly) -> tuple[int, ...]:
+    """The values of a(x) at the root of every factor, in factor order."""
+    out = []
     for info in fact.factors:
-        rows = []
-        for gen in code.generators:
-            row = []
-            for a in gen:
-                rem = a.mod(info.poly)
-                val = info.eval(rem)
-                if (val == 0) != rem.is_zero():
-                    raise InternalConsistencyError(
-                        "evaluation and divisibility disagree at factor "
-                        f"{info.poly}")
-                row.append(val)
-            rows.append(row)
-        constituents.append(
-            LinearCode.from_rows(info.ext_field, code.ell, rows))
-    return ConstituentDecomposition(fact, code.ell, tuple(constituents))
+        rem = a.mod(info.poly)
+        val = info.eval(rem)
+        if (val == 0) != rem.is_zero():
+            raise InternalConsistencyError(
+                "evaluation and divisibility disagree at factor "
+                f"{info.poly}")
+        out.append(val)
+    return tuple(out)
 
 
 def dimension_of(dec: ConstituentDecomposition) -> int:
@@ -238,25 +253,34 @@ def trace_codeword(dec: ConstituentDecomposition,
         if len(lam) != dec.ell:
             raise ValueError(
                 f"coefficient row length {len(lam)} != index {dec.ell}")
-        if not code.contains(lam):
-            raise ValueError(
-                f"coefficient row {lam} is not in the constituent of factor "
-                f"{info.poly}")
-    F = dec.field
-    m = fact.m
-    cols = [[0] * m for _ in range(dec.ell)]
+        _check_in_constituent(code, info, lam)
+    cols = [[0] * fact.m for _ in range(dec.ell)]
     for info, lam in zip(fact.factors, rows):
-        if not any(lam):
-            continue
-        E = info.ext_field
-        trace = trace_map(E, F)
-        # root^(m - g) for each row g
-        powers = [info.root_powers[-g] for g in range(m)]
-        for j, x in enumerate(lam):
-            if x:
-                traces = list(map(trace, E.scale_row(x, powers)))
-                cols[j] = F.axpy(cols[j], 1, traces)
+        _add_trace(cols, info, dec.field, lam)
     return tuple(zip(*cols))
+
+
+def _check_in_constituent(code: LinearCode, info: FactorInfo,
+                          lam: tuple[int, ...]) -> None:
+    if not code.contains(lam):
+        raise ValueError(
+            f"coefficient row {lam} is not in the constituent of factor "
+            f"{info.poly}")
+
+
+def _add_trace(cols: list[list[int]], info: FactorInfo, F: Field,
+               lam: Sequence[int]) -> None:
+    """Add one factor's share to the columns of a codeword array: column
+    j gains the traces down to F of lam[j] times root^(m - g), row g."""
+    if not any(lam):
+        return
+    E = info.ext_field
+    trace = trace_map(E, F)
+    powers = [info.root_powers[-g] for g in range(len(info.root_powers))]
+    for j, x in enumerate(lam):
+        if x:
+            traces = list(map(trace, E.scale_row(x, powers)))
+            cols[j] = F.axpy(cols[j], 1, traces)
 
 
 def generator_matrix(dec: ConstituentDecomposition
@@ -281,22 +305,34 @@ def _trace_construction(dec: ConstituentDecomposition
     """generator_matrix's rows and the code they span, from one row
     reduction that also checks the rank."""
     fact = dec.fact
-    zero_rows: list[tuple[int, ...]] = [
-        (0,) * dec.ell for _ in range(fact.num_factors)]
-    out = []
-    for i, (info, code) in enumerate(zip(fact.factors, dec.constituents)):
-        E = info.ext_field
-        for v in code.rows:
-            for t in range(info.degree):
-                rows = list(zero_rows)
-                rows[i] = E.scale_row(info.root_powers[t], v)
-                out.append(flatten(trace_codeword(dec, rows)))
+    out = tuple(row for i, code in enumerate(dec.constituents)
+                for row in _trace_block(fact, i, code))
     code = LinearCode.from_rows(dec.field, dec.n, out)
     if code.k != dec.dimension():
         raise InternalConsistencyError(
             f"trace construction produced rank {code.k}, expected "
             f"{dec.dimension()}")
-    return tuple(out), code
+    return out, code
+
+
+@lru_cache(maxsize=None)
+def _trace_block(fact: Factorization, i: int, code: LinearCode
+                 ) -> tuple[tuple[int, ...], ...]:
+    """The flat trace codewords constituent ``code`` of factor i (0-based)
+    contributes: one per reduced row v and root power t below the
+    factor's degree, from the coefficient row root^t * v alone.  Computed
+    once per process for each (factorization, i, code)."""
+    info = fact.factors[i]
+    E = info.ext_field
+    out = []
+    for v in code.rows:
+        for t in range(info.degree):
+            lam = tuple(E.scale_row(info.root_powers[t], v))
+            _check_in_constituent(code, info, lam)
+            cols = [[0] * fact.m for _ in range(code.n)]
+            _add_trace(cols, info, fact.field, lam)
+            out.append(tuple(chain.from_iterable(cols)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +394,15 @@ def associated_cyclic_codes(dec: ConstituentDecomposition, *,
     elif sorted(order) != sorted(dec.nonzero_indices()):
         raise ValueError(
             "order is not a permutation of the nonzero constituent indices")
-    h = len(order)
+    return AssociatedCodes(dec, order, report_subsets(len(order)))
+
+
+def report_subsets(h: int) -> tuple[tuple[int, ...], ...]:
+    """The position sets reported for h sorted positions: every nonempty
+    subset when h is at most MAX_SUBSET_FACTORS, otherwise the
+    contiguous position ranges."""
     if h <= MAX_SUBSET_FACTORS:
-        subsets = [tuple(s) for w in range(1, h + 1)
-                   for s in combinations(range(1, h + 1), w)]
-    else:
-        subsets = [tuple(range(s, e + 1))
-                   for s in range(1, h + 1) for e in range(s, h + 1)]
-    return AssociatedCodes(dec, order, tuple(subsets))
+        return tuple(tuple(s) for w in range(1, h + 1)
+                     for s in combinations(range(1, h + 1), w))
+    return tuple(tuple(range(s, e + 1))
+                 for s in range(1, h + 1) for e in range(s, h + 1))

@@ -302,6 +302,59 @@ def test_multiplicative_generator_is_searched_once(monkeypatch):
     assert g == least
 
 
+def _schoolbook_generator(F, start: int = 2) -> int:
+    """The least element of full order from index ``start`` on, each
+    candidate tested by square-and-multiply over the schoolbook
+    product."""
+    n = F.order - 1
+    primes = algebra._prime_factors(n)
+    return next(c for c in range(start, F.order)
+                if all(F._pow_raw(c, n // r) != 1 for r in primes))
+
+
+def test_generator_search_matches_the_schoolbook_search():
+    # every extension field of at most 4096 elements made by make_field,
+    # and a quadratic extension on top of each one that stays below that
+    simple = [make_field(q) for q in range(4, 4097)
+              if len(algebra._prime_factors(q)) == 1
+              and not algebra._is_prime(q)]
+    assert len(simple) == 40
+    towers = [make_extension(F, find_irreducible(F, 2)) for F in simple
+              if F.order ** 2 <= 4096]
+    assert sorted(F.order for F in towers) == [16, 64, 81, 256, 625, 729,
+                                               1024, 2401, 4096]
+    for F in simple + towers:
+        assert F.multiplicative_generator() == _schoolbook_generator(F), F
+    # the splitting field of x^11 - 1 over F_5 and its two factor fields
+    big = algebra.unity_context(11, make_field(5)).splitting
+    fields = [big] + [info.ext_field for info in factor_unity(11, 5).factors
+                      if info.degree == 5]
+    assert [F.order for F in fields] == [3125] * 3
+    assert [F.multiplicative_generator() for F in fields] == [10, 7, 9]
+    # a field above the table size searches without tables
+    F = make_field(5 ** 7)
+    assert F._exp is None
+    assert F.multiplicative_generator() == _schoolbook_generator(F) == 9
+
+
+def test_generator_search_starts_past_the_base_field():
+    # the indices below the base field's order are the base field's
+    # elements, none of full order; over F_p^2 the search starts at p, so
+    # the splitting field of x^3 - 1 over F_100019 takes one batch where
+    # a search from index 2 first tests the 100017 elements of F_p (27 s
+    # with the schoolbook product on 2-core x86-64).  Past p = 2^31 the
+    # products of F_p^2 digit maps no longer fit int64 and are taken in
+    # Python ints.
+    for p in (100019, 2147494021):
+        Fp = make_field(p)
+        F = make_extension(Fp, find_irreducible(Fp, 2))
+        assert F.multiplicative_generator() == \
+            _schoolbook_generator(F, start=p)
+    assert F.degree * (p - 1) ** 2 >= 1 << 63
+    fact = factor_unity(3, make_field(100019))
+    assert [info.degree for info in fact.factors] == [2, 1]
+
+
 def test_field_with_picked_kernels_pickles():
     for F in _kernel_fields():
         F.axpy([1], 1, [1])

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+from qclrc import bounds
 from qclrc.algebra import factor_unity, make_field
 from qclrc.bounds import prefix_bound, singleton_bound
 from qclrc.codes import Budget, LinearCode, min_distance, rref
@@ -20,7 +22,7 @@ from qclrc.construct import (
     extend_constituent,
     scan,
 )
-from qclrc.errors import ConstructionError
+from qclrc.errors import ConstructionError, InternalConsistencyError
 from qclrc.qc import ConstituentDecomposition, generator_matrix
 from qclrc.reference import reference_case
 
@@ -135,6 +137,31 @@ def test_greedy_rung_is_bounded_by_its_work():
         assert _greedy_columns(make_field(q), red, 4) == (), q
     # the largest key of the 4.6 ladder is admitted
     assert len(_greedy_columns(F5, 4, 4)) == 16
+
+
+def test_greedy_columns_form_multiples_only_above_distance_two(
+        monkeypatch):
+    # at d = 2 only the zero column is ever covered, so every nonzero
+    # column is accepted and no multiple of one is formed; the largest
+    # such key the work bound admits keeps its 1408 columns
+    scaled = []
+
+    def count_scalings(F):
+        scale_row = F.scale_row
+
+        def counted(c, v):
+            scaled.append(c)
+            return scale_row(c, v)
+        monkeypatch.setattr(F, "scale_row", counted)
+    F = make_field(1409)
+    count_scalings(F)
+    assert _greedy_columns(F, 1, 2) == tuple((c,) for c in range(1, 1409))
+    assert scaled == []
+    # at d = 3 each accepted column extends the covered set by its
+    # q - 1 multiples
+    count_scalings(F3)
+    assert len(_greedy_columns(F3, 2, 3)) == 4
+    assert len(scaled) == 4 * 2
 
 
 def test_exact_code_quadric_columns():
@@ -321,8 +348,40 @@ def test_build_cj_outside_admissible_set():
         build_cj(spec, 4)
 
 
+@pytest.mark.parametrize("lowered", [0, 1, 2])
+def test_build_cj_rejects_a_member_whose_bound_moves(optimal_family_spec,
+                                                     lowered):
+    # a member built to one constituent distance below the family's has
+    # another distance profile, so its bound is recomputed, not reused
+    dists = list(optimal_family_spec.dists)
+    dists[lowered] -= 1
+    spec = replace(optimal_family_spec, dists=tuple(dists))
+    with pytest.raises(InternalConsistencyError,
+                       match="j=1 recomputes distance bound"):
+        build_cj(spec, 1)
+
+
 # ---------------------------------------------------------------------------
 # scan
+
+
+def test_scan_computes_the_bound_once_per_profile(monkeypatch):
+    """Every member of the 4.6 family has the base's factorization and
+    distance profile, so the telescoped terms of each tie-consistent
+    ordering are computed once for the whole scan."""
+    orders = []
+    suffix_terms = bounds._suffix_terms
+
+    def counted(fact, order, cdist, budget):
+        orders.append(order)
+        return suffix_terms(fact, order, cdist, budget)
+    monkeypatch.setattr(bounds, "_suffix_terms", counted)
+    spec = FamilySpec.from_base(reference_case("4.6"), j_max=22)
+    report = scan(spec)
+    assert len(report.rows) == 20
+    profile = tuple(zip(spec.nonzero, spec.dists))
+    assert orders == bounds._tie_consistent_orderings(profile) == [
+        (3, 1, 2)]
 
 
 def test_scan_reference_family_finds_optimal_member(optimal_family_spec):

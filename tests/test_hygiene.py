@@ -1,5 +1,5 @@
-"""Dead-code and budget guards over the package sources, by syntax tree
-only.
+"""Dead-code, budget and cache guards over the package sources, by syntax
+tree, with one exception below.
 
 Every name a module imports is used in that module, and every top-level
 function, class and assigned name and every method is referenced
@@ -11,13 +11,19 @@ row kernels: no comprehension outside the ``Field`` class combines a field
 ``add``/``sub`` with a ``mul`` entry by entry.  An object's private state
 is its own: no function writes to, writes into, or calls a
 single-underscore attribute of an object other than ``self`` or ``cls``,
-except for the writes listed in ``FOREIGN_PRIVATE_WRITES``.
+except for the writes listed in ``FOREIGN_PRIVATE_WRITES``.  Every
+``lru_cache`` wraps a module-level function or a method of a module-level
+class, where the cold-cache fixture of conftest finds and clears it.
+One guard runs code instead of reading it: hashing a ``Factorization``,
+the key of most caches, reads none of its factors.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from qclrc import algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qclrc"
@@ -225,3 +231,53 @@ def test_private_state_is_written_by_its_owner():
         visitor.visit(_tree(path))
         found |= set(visitor.found)
     assert found == FOREIGN_PRIVATE_WRITES
+
+
+def _cache_uses(tree: ast.Module) -> list[ast.AST]:
+    """Every reference to ``lru_cache`` or ``functools.cache``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("lru_cache",
+                                                          "cache")
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("lru_cache", "cache")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"]
+
+
+def test_every_cache_is_reachable_from_its_module():
+    """Decorating a top-level function or a method of a top-level class,
+    or wrapping a function in a top-level assignment, leaves the cache
+    in ``vars()`` of the module or the class; anywhere else (a nested
+    function, a call inside a body) the cache is out of reach."""
+    misplaced = []
+    for path in _modules():
+        tree = _tree(path)
+        allowed: list[ast.AST] = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                allowed += node.decorator_list
+            elif isinstance(node, ast.ClassDef):
+                allowed += [deco for item in node.body
+                            if isinstance(item, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))
+                            for deco in item.decorator_list]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                allowed.append(node.value)
+        reachable = {id(sub) for node in allowed if node is not None
+                     for sub in ast.walk(node)}
+        misplaced += [f"{path.name}:{node.lineno}"
+                      for node in _cache_uses(tree)
+                      if id(node) not in reachable]
+    assert misplaced == []
+
+
+def test_factorization_hash_reads_no_factor(monkeypatch):
+    fact = algebra.factor_unity(11, 5)
+    hashed = []
+
+    def counted(info):
+        hashed.append(info)
+        return 0
+    monkeypatch.setattr(algebra.FactorInfo, "__hash__", counted)
+    assert hash(fact) == hash(algebra.factor_unity(11, 5))
+    assert hashed == []
