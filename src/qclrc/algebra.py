@@ -253,32 +253,36 @@ class Field:
         multiplicative generator g.
 
         Addition is digitwise mod p on the base-p digits of an index, so
-        multiplication by g is an F_p-linear map of those digits: the
-        index of g*a is found for every a at once from g's map, and the
-        powers of g follow that map from 1.  Below _TABLE_MAX = 2^16
-        elements every index and digit sum fits int32.
+        multiplication by g is an F_p-linear map of those digits, and so
+        is multiplication by g^b, the b-th power of g's map.  The digits
+        of the first b powers of g, times the map of g^b, are those of
+        the next b: the powers come in doubling blocks from 1, log is
+        their inverse permutation, and zech follows from both, all in
+        numpy.  Below _TABLE_MAX = 2^16 elements every digit product sum
+        fits int64.
         """
         g, image_digits = self._search_generator()
         p, n = self.char, self.order - 1
-        places = p ** np.arange(self.degree, dtype=np.int32)
-        digits = np.arange(self.order, dtype=np.int32)[:, None] // places % p
-        times_g = (digits @ image_digits.astype(np.int32) % p
-                   @ places).tolist()
-        exp = [1] * n
-        for t in range(1, n):
-            exp[t] = times_g[exp[t - 1]]
-        log = [0] * self.order
-        for t, v in enumerate(exp):
-            log[v] = t
+        places = p ** np.arange(self.degree, dtype=np.int64)
+        digits = (places == 1).astype(np.int64)[None]   # the digits of 1
+        step = image_digits.astype(np.int64)
+        while len(digits) < n:
+            more = digits[:n - len(digits)] @ step % p
+            digits = np.concatenate([digits, more])
+            step = step @ step % p
+        exp = digits @ places
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n)
         if p != 2:
             # zech[t] is the log of 1 + g^t, or -1 where that sum is 0;
             # adding 1 changes only the lowest base-p digit of an index.
-            zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
+            low = exp % p
+            zech = log[exp - low + (low + 1) % p]
             zech[n // 2] = -1
-            self._zech = zech + zech
+            self._zech = zech.tolist() * 2
         # Stored twice over, so a sum of two logs indexes it without % n.
-        self._exp = exp + exp
-        self._log = log
+        self._exp = exp.tolist() * 2
+        self._log = log.tolist()
 
     def multiplicative_generator(self) -> int:
         """Smallest element (by index) of full multiplicative order.
@@ -557,7 +561,24 @@ def trace_map(sup: Field, sub: Field) -> Callable[[int], int]:
 
 @lru_cache(maxsize=None)
 def _trace_table(sup: Field, sub: Field) -> tuple[int, ...]:
-    return tuple(_power_trace(z, sup, sub) for z in sup.elements())
+    """The trace of every element of sup down to sub, by index.
+
+    The base-s digits z_j of an index z, s = |sub|, are its coordinates
+    over sub, and the trace is sub-linear: Tr(z) is the sum over j of
+    z_j Tr(s^j).  So only the [sup : sub] traces of the places s^j are
+    power sums (``_power_trace``); the table adds their multiples by the
+    digits of every index at once, as base-p digits mod p.
+    """
+    s, p, f = sub.order, sup.char, sub.degree
+    z = np.arange(sup.order, dtype=np.int64)
+    places = p ** np.arange(f, dtype=np.int64)
+    acc = np.zeros((sup.order, f), dtype=np.int64)
+    for j in range(sup.degree_over(sub)):
+        # c Tr(s^j) for every c in sub, as base-p digits
+        multiples = np.array(sub.scale_row(_power_trace(s ** j, sup, sub),
+                                           list(range(s))), dtype=np.int64)
+        acc += (multiples[:, None] // places % p)[z // s ** j % s]
+    return tuple((acc % p @ places).tolist())
 
 
 def _power_trace(z: int, sup: Field, sub: Field) -> int:

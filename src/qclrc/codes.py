@@ -17,25 +17,23 @@ byte-wise with one biased carry step.  A row is scaled by
 field from ``algebra.multiplication_table``.  Every other field reduces
 rows entry by entry through ``Field.axpy``; both give the same tuples.
 
-Enumeration is one encoding kernel, ``_encode``, with one arithmetic for
-every field.  Encoding over F_q, q = p^e, is F_p-linear on base-p
-digits, so the codewords of a block of messages are one matrix product
-over F_p, reduced mod p: the messages' base-p digits times the generator
-matrix expanded to (k e) x (n e) digits (``_prime_generator``), about
-_BLOCK_ENTRIES codeword digits a block.  The product is taken in float64
-where it is exact, and in int64 over the primes too large for that.  One
-of two message generators feeds the kernel.  The projective pass encodes
-only the messages whose most significant nonzero digit is 1, (q^k -
-1)/(q - 1) of the q^k: nonzero multiples of a word have its weight, and
-the multiple with top digit 1 comes first in codeword order, so the pass
+Enumeration holds each codeword as a row of uint64 limbs in the slots
+of the parity search's syndromes (``_Limbs``): words add by xor in
+characteristic 2 and slot by slot with one biased carry step otherwise,
+and a word's weight is the ``np.bitwise_count`` of its symbols, each
+folded to one bit.  The projective pass weighs only the
+words of the messages whose most significant nonzero digit is 1, (q^k -
+1)/(q - 1) of the q^k, built in message order as spans of the base-p
+digit rows p^a G_i: nonzero multiples of a word have its weight, and the
+multiple with top digit 1 comes first in codeword order, so the pass
 still finds the first least-weight word (``min_weight_codeword``).  For
 ``min_distance`` alone, a code with N >= 2 disjoint information sets may
 instead be searched by the Brouwer-Zimmermann method
-(``_min_weight_bz``): messages of weight t = 1, 2, ... on each set's
-systematic generator, until the least weight seen meets the floor N (t +
-1) that every word not yet seen exceeds.  It runs when its estimated cost
-is lower (``_enumeration_plan``).  Either way the enumeration budget
-bounds q^k.
+(``_min_weight_bz``): the words of messages of weight t = 1, 2, ... on
+each set's systematic generator, sums of multiples of its rows, until
+the least weight seen meets the floor N (t + 1) that every word not yet
+seen exceeds.  It runs when its estimated cost is lower
+(``_enumeration_plan``).  Either way the enumeration budget bounds q^k.
 
 The parity search runs in layers of increasing weight w.  Each layer is
 decided by one of two exact searches, whichever is estimated cheaper for
@@ -59,7 +57,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations, repeat
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -79,47 +77,50 @@ class Budget(NamedTuple):
 
 ENUM_BUDGET_DEFAULT, RANK_BUDGET_DEFAULT = Budget()
 
-# Base-p digits of the codewords of one block of enumerated messages
-# (``_block_messages``).  Each digit is a float64, and a block holds a
-# few arrays of that size.  On x86-64 with numpy 2.4, min_distance of
-# the Reed-Solomon [15, 5] code over F_16 raises the peak resident set
-# of a fresh process by 0.65 MiB with blocks of 2^14 digits, and by 3.3
-# MiB with blocks of 2^18 messages.
-_BLOCK_ENTRIES = 1 << 14
+# Codewords per block of an enumeration (``_projective_blocks``,
+# ``_weight_words``), each a column of uint64 limbs (``_Limbs``).
+_BLOCK_WORDS = 1 << 13
 
 # Nanoseconds per unit of work of each distance kernel, for the cost
 # rules in distance_strategy, _enumeration_plan and _min_weight_parity.
-# Over F_q, q = p^e, enumeration does (k e) * (n e) units per message
-# encoded (the digit products of _encode), plus a fixed cost per block of
-# messages after the first, and the Brouwer-Zimmermann search one
-# elimination of k^2 * n units per information set, charged at the
-# rank-check rate; layer w of the parity search does C(n, w) * w^2 *
-# (n - k) units by rank checks, or tabulates and streams the entries
-# counted in _collision_entries by collision.  Measured on 2-core x86-64,
-# Python 3.11, numpy 2.4, one BLAS thread.  Enumeration: projective
-# passes over random [2k, k] and [3k, k] codes (F_2 k <= 18 up to F_3125
-# k = 2) and the search on Reed-Solomon codes over F_7..F_49, binary
-# Golay, Reed-Muller and BCH codes and random [2k..4k, k] codes over
-# F_2..F_256, 112 runs; fitted by least squares on the relative error of
-# the 53 runs of at least 1 ms, 0.29 ns per unit and 131 us per block
-# beyond the first.  A whole projective pass of at least 20 blocks takes
-# 0.46-2.19 ns per unit, its block costs included (median 0.79).
-# Finding the information sets, 180-540 ns per k^2 n unit over prime
-# fields and 330-1540 ns over extension fields.  The rank and collision
-# figures are medians over layers searched to the end (a layer that finds
-# its word stops early), over F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125
-# (layers of at least 5000 entries or 50000 units).  Collision, the
-# normalisation of every key included (random codes of two seeds, 24-26
-# layers in characteristic 2 and 57 in odd characteristic per seed,
-# three runs): medians 376-416 ns per entry in characteristic 2, where
-# addition is xor (141-863; over F_2, where a key is one xor, 220-379),
-# and 598-735 ns in odd characteristic (279-1726; the most over F_3,
-# where one key in two needs a scaling of its own).  Rank checks, one rref per
-# subset on every field (layers of at most 20000 subsets, two draws of
-# random codes): 259-261 ns over prime fields (128-494), 342-386 ns over
+# Enumeration weighs each word at one unit per uint64 limb, at a rate per
+# characteristic (xor, or the slot-wise add), plus a fixed cost per
+# block of a projective pass after the first; the Brouwer-Zimmermann
+# search adds a fixed cost per level on a set, one per support it
+# unranks and one elimination of k^2 * n units per information set,
+# charged at the rank-check rate; layer w of the parity search does
+# C(n, w) * w^2 * (n - k) units by rank checks, or tabulates and streams
+# the entries counted in _collision_entries by collision.  Measured on
+# 2-core x86-64, Python 3.11, numpy 2.4.  Enumeration: both kernels on
+# random [2k, k], [3k, k] and [5k, k] codes over F_2..F_729 (F_2 k <= 20
+# to F_729 k = 2), four seeds, the fastest of three runs each; fitted by
+# least squares on the relative error of the runs of at least 1 ms.
+# Passes (96 runs): 2.9 ns per limb in characteristic 2 and 7.6 ns in
+# odd characteristic, 20 and 50 us per block beyond the first; a whole
+# pass of at least 20 blocks takes 2.3-8.6 ns per limb in characteristic
+# 2 (median 4.7) and 7.2-15 ns in odd (median 10.7), its block costs
+# included.  Searches (170 runs), at those rates per limb: 74 ns per
+# support and 146 us per level on a set, within 0.60-3.7 times the
+# estimate (quartiles 0.92 and 1.24).  Finding the information sets,
+# 180-540 ns per k^2 n unit over prime fields and 330-1540 ns over
+# extension fields.  The rank and collision figures are medians over
+# layers searched to the end (a layer that finds its word stops early),
+# over F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125 (layers of at
+# least 5000 entries or 50000 units).  Collision, the normalisation of
+# every key included (random codes of two seeds, 24-26 layers in
+# characteristic 2 and 57 in odd characteristic per seed, three runs):
+# medians 376-416 ns per entry in characteristic 2, where addition is
+# xor (141-863; over F_2, where a key is one xor, 220-379), and 598-735
+# ns in odd characteristic (279-1726; the most over F_3, where one key in
+# two needs a scaling of its own).  Rank checks, one rref per subset on
+# every field (layers of at most 20000 subsets, two draws of random
+# codes): 259-261 ns over prime fields (128-494), 342-386 ns over
 # extension fields (113-1118), 301-310 ns over both.
-_ENUM_NS = 0.3
-_BLOCK_NS = 130000.0
+_ENUM_NS_CHAR2 = 3.0
+_ENUM_NS_ODD = 7.5
+_BLOCK_NS = 30000.0
+_SUPPORT_NS = 75.0
+_STEP_NS = 150000.0
 _RANK_NS = 300.0
 _COLLISION_NS_CHAR2 = 400.0
 _COLLISION_NS_ODD = 700.0
@@ -191,7 +192,7 @@ def _rref_bytes(rows: Iterable[Sequence[int]], field: Field,
     as integers, and since both digits are below p < 128 each byte's sum
     stays below 2p - 1 < 256: adding 128 - p to every byte sets a byte's
     top bit exactly where its sum reached p, and p is subtracted there
-    (the slot-wise add of ``_syndrome_packing`` with 8-bit slots).  A row
+    (the slot-wise add of ``_Limbs`` with 8-bit slots).  A row
     is scaled by translating its bytes through the scalar's table.
     """
     mat = [bytes(r) for r in rows]
@@ -380,116 +381,159 @@ def _complement(F: Field, n: int, rows: Sequence[Sequence[int]],
 # minimum distance
 
 
-def _block_messages(F: Field, n: int) -> int:
-    """Messages per block of a code of length n: as many as make a
-    product of about _BLOCK_ENTRIES base-p digits, and at least one."""
-    return max(1, _BLOCK_ENTRIES // (n * F.degree))
+class _Limbs:
+    """The vectors of one field as rows of uint64 limbs, the word format
+    of both exact searches.
+
+    Every base-p digit of every symbol gets its own slot of bits.  In
+    characteristic 2 a slot is one bit and vectors add by xor.  For odd p
+    a slot has b bits with 2^(b-1) >= p: the sum of two reduced digits
+    stays inside its slot, and adding 2^(b-1) - p to every slot sets a
+    slot's top bit exactly where its digit sum reached p, which is where
+    p is subtracted.  Symbol j takes width = b e bits of limb j // per,
+    width (j % per) bits up, per = 64 // width.  Enumeration holds W
+    words as a block of shape (limbs, W), the parity search a vector as
+    one Python int (``ints``).  Where a symbol needs more than 64 bits,
+    per is 0 and neither search packs words (``_layer_costs``,
+    ``_check_enumeration``).
+    """
+
+    def __init__(self, F: Field):
+        self.p, self.e = F.char, F.degree
+        self.bits = 1 if self.p == 2 else (self.p - 1).bit_length() + 1
+        self.width = self.bits * self.e
+        self.per = 64 // self.width
+        full = (1 << self.width * self.per) - 1
+        half = 1 << self.bits - 1   # the top bit of a slot
+        slots = full // ((1 << self.bits) - 1)   # 1 in every slot
+        self.bias = np.uint64(max(half - self.p, 0) * slots)
+        self.top = np.uint64(half * slots)
+        self.carry, self.modulus = np.uint64(self.bits - 1), np.uint64(self.p)
+        half = 1 << self.width - 1   # the top bit of a symbol
+        symbols = full // ((1 << self.width) - 1)   # 1 in every symbol
+        self.low = np.uint64((half - 1) * symbols)
+        self.high = np.uint64(half * symbols)
+        self.slots = np.uint64(self.bits) * np.arange(self.e, dtype=np.uint64)
+        self.symbols = np.uint64(self.width) * np.arange(self.per,
+                                                         dtype=np.uint64)
+        self.places = self.p ** np.arange(self.e, dtype=np.int64)
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return x ^ y
+        s = x + y
+        t = s + self.bias
+        t &= self.top
+        t >>= self.carry
+        t *= self.modulus
+        s -= t
+        return s
+
+    def weights(self, words: np.ndarray) -> np.ndarray:
+        """The weight of each word of a block: each symbol's bits folded
+        to its top one, which its low bits added to themselves set unless
+        they are all 0, and counted."""
+        if self.width > 1:
+            words = ((words & self.low) + self.low | words) & self.high
+        return np.bitwise_count(words).sum(axis=0, dtype=np.intp)
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of field indices, shape (r, n), as rows of limbs."""
+        digits = rows[..., None] // self.places % self.p
+        padded = np.zeros((len(rows), -(-rows.shape[1] // self.per)
+                           * self.per), dtype=np.uint64)
+        padded[:, :rows.shape[1]] = (digits.astype(np.uint64)
+                                     << self.slots).sum(axis=-1)
+        return (padded.reshape(len(rows), -1, self.per)
+                << self.symbols).sum(axis=-1, dtype=np.uint64)
+
+    def unpack(self, word: np.ndarray, n: int) -> tuple[int, ...]:
+        """The n field indices of one word."""
+        symbols = (word[:, None] >> self.symbols).ravel()[:n]
+        digits = symbols[:, None] >> self.slots \
+            & np.uint64((1 << self.bits) - 1)
+        return tuple((digits.astype(np.int64) @ self.places).tolist())
+
+    def ints(self, block: np.ndarray) -> list[int]:
+        """The words of a block as Python ints, limb l at bit 64 l."""
+        out = block[-1].tolist()
+        for limb in block[-2::-1]:
+            out = [x << 64 | y for x, y in zip(out, limb.tolist())]
+        return out
+
+    def int_add(self, symbols: int):
+        """Addition of vectors of ``symbols`` symbols held as ``ints``."""
+        if self.p == 2:
+            return operator.xor
+        ones = ((1 << 64 * -(-symbols // self.per)) - 1) // ((1 << 64) - 1)
+        bias, top = int(self.bias) * ones, int(self.top) * ones
+        shift, p = self.bits - 1, self.p
+
+        def add(x: int, y: int) -> int:
+            s = x + y
+            return s - (((s + bias) & top) >> shift) * p
+
+        return add
+
+    def span(self, rows: np.ndarray) -> np.ndarray:
+        """The F_p-span of rows[0], rows[1], ... (of any leading shape) in
+        counting order: word j is the sum of j_r rows[r] over the base-p
+        digits j_r of j.  A span S grows by a row r as S + c r for c =
+        0..p-1, by doubling: the first m of these plus m r are the next m.
+        """
+        span = np.zeros((*rows.shape[1:], 1), dtype=np.uint64)
+        for step in rows[..., None]:
+            size = self.p * span.shape[-1]
+            while span.shape[-1] < size:
+                more = self.add(span[..., :size - span.shape[-1]], step)
+                span = np.concatenate([span, more], axis=-1)
+                if span.shape[-1] < size:
+                    step = self.add(step, step)
+        return span
 
 
 @lru_cache(maxsize=None)
-def _prime_generator(F: Field, G: tuple[tuple[int, ...], ...]
-                     ) -> np.ndarray:
-    """The generator matrix G over F_q, q = p^e, expanded to a (k e) x
-    (n e) matrix X over F_p (float64, read-only).
-
-    Row e i + a of X is p^a G_i, each entry written as its e base-p
-    digits, least significant first.  Field indices add digitwise mod p,
-    and the element of index x is the sum of x_a copies of the element
-    of index p^a over the base-p digits x_a of x.  So a message whose
-    digit i is m_i encodes to the sum over i and a of (m_i)_a p^a G_i:
-    the base-p digits of M G are digits(M) X mod p, where the base-p
-    digits of a message index are those of its k base-q digits, laid
-    end to end.  Over a prime field X is G itself.
-    """
-    p, e = F.char, F.degree
-    rows = [F.scale_row(p ** a, row) for row in G for a in range(e)]
-    X = _digits(np.array(rows, dtype=np.int64).ravel(), p, e).reshape(
-        len(rows), -1).astype(np.float64)
-    X.setflags(write=False)   # shared by every caller
-    return X
+def _limbs(F: Field) -> _Limbs:
+    return _Limbs(F)
 
 
-def _encode(F: Field, D: np.ndarray, G: tuple[tuple[int, ...], ...]
-            ) -> np.ndarray:
-    """The codewords M G as field indices, one per message, given the
-    messages' base-p digits D (``_prime_generator``): digit a of the
-    message digit i in column e i + a."""
-    p, e = F.char, F.degree
-    X = _prime_generator(F, G)
-    if len(X) * (p - 1) * (p - 1) < 1 << 50:
-        # The products are integers below 2^50, exact in a float64.
-        # x / p is correctly rounded: exact when p divides x, and
-        # otherwise within a quarter of 1/p of x / p, which is at least
-        # 1/p from an integer; so the floor is exact.  It is several
-        # times faster than the float remainder x % p.
-        C = D.astype(np.float64, copy=False) @ X
-        T = np.divide(C, p)
-        np.floor(T, out=T)
-        T *= p
-        C -= T
-    else:
-        C = D.astype(np.int64) @ X.astype(np.int64) % p
-    if e > 1:
-        C = (C.reshape(-1, e) @ p ** np.arange(e)).reshape(len(D), -1)
-    return C
+@lru_cache(maxsize=None)
+def _packed_rows(F: Field, G: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The digit rows p^a G_i of the generator matrix G over F_q, q =
+    p^e, as rows of limbs, row e i + a (read-only).  Field indices add
+    digitwise mod p, so the codeword of a message whose digit i has
+    base-p digits (m_i)_a is the sum of (m_i)_a p^a G_i."""
+    K = _limbs(F)
+    R = K.pack(np.array([F.scale_row(K.p ** a, row) for row in G
+                         for a in range(K.e)], dtype=np.int64))
+    R.setflags(write=False)   # shared by every caller
+    return R
 
 
-def _digits(idx: np.ndarray, base: int, k: int) -> np.ndarray:
-    """The k base-``base`` digits of each index below base^k, least
-    significant first: float64 where base^k <= 2^50, int64 above."""
-    if base ** k > 1 << 50:
-        return idx[:, None] // base ** np.arange(k) % base
-    # Indices and places are integers below 2^50, so each floor of a
-    # quotient is exact by the argument in _encode; digit j is
-    # floor(idx / base^j) less base times its floor divided by base.
-    T = idx[:, None] / base ** np.arange(k)
-    np.floor(T, out=T)
-    U = T / base
-    np.floor(U, out=U)
-    U *= base
-    T -= U
-    return T
-
-
-def _projective_messages(F: Field, k: int, chunk: int):
-    """Blocks of at most ``chunk`` of the messages whose most significant
-    nonzero digit is 1, as base-p digits (``_encode``), in increasing
-    index order: the spans [q^t, 2 q^t) for t = 0..k-1, (q^k - 1)/(q - 1)
-    messages in all.  A block may join several spans, so a short code is
-    one block."""
-    q = F.order
-    block, size = [], 0
-    for t in range(k):
-        lo, end = q ** t, 2 * q ** t
-        while lo < end:
-            hi = min(end, lo + chunk - size)
-            block.append(np.arange(lo, hi))
-            size, lo = size + hi - lo, hi
-            if size == chunk or (t == k - 1 and lo == end):
-                yield _digits(np.concatenate(block), F.char, k * F.degree)
-                block, size = [], 0
-
-
-def _weight_messages(F: Field, k: int, t: int, chunk: int):
-    """Blocks of at most ``chunk`` of the messages with exactly t nonzero
-    digits, the most significant of them 1, as base-p digits
-    (``_encode``): C(k, t) (q - 1)^(t - 1) messages in all."""
-    q = F.order
-    count = (q - 1) ** (t - 1)
-    flat = chain.from_iterable(combinations(range(k), t))
-    while True:
-        S = np.fromiter(islice(flat, t * max(1, chunk // count)),
-                        dtype=np.intp).reshape(-1, t)
-        if not len(S):
-            return
-        for lo in range(0, count, chunk):
-            coef = np.ones((min(chunk, count - lo), t), dtype=np.int64)
-            coef[:, :-1] += _digits(np.arange(lo, lo + len(coef)), q - 1,
-                                    t - 1).astype(np.int64)
-            M = np.zeros((len(S) * len(coef), k), dtype=np.int64)
-            rows = np.arange(len(M)).reshape(len(S), len(coef))
-            M[rows[:, :, None], S[:, None, :]] = coef[None, :, :]
-            yield _digits(M.ravel(), F.char, F.degree).reshape(len(M), -1)
+def _projective_blocks(K: _Limbs, R: np.ndarray, k: int):
+    """Blocks of the words of the messages whose most significant nonzero
+    digit is 1, in increasing message index, from the digit rows R
+    (``_packed_rows``): for t = 0..k-1, G_t plus the span S_t of the digit
+    rows of G_0..G_{t-1}, whose counting order is their messages' order.
+    The span of the most digit rows s that fits _BLOCK_WORDS words holds
+    S_t for e t <= s, and S_t + G_t as its words q^t to 2 q^t - 1 for e t
+    < s: the first block.  Each later block is that span plus each of a
+    run of words of the span of the digit rows s..e t - 1, plus G_t,
+    about _BLOCK_WORDS words in all."""
+    e, q = K.e, K.p ** K.e
+    s = 0
+    while s < e * (k - 1) and K.p ** (s + 1) <= _BLOCK_WORDS:
+        s += 1
+    low, T = K.span(R[:s]), s // e
+    yield np.concatenate([low[:, q ** t:2 * q ** t] for t in range(T)]
+                         + [K.add(low[:, :q ** T], R[e * T, :, None])],
+                         axis=1)
+    step = max(1, _BLOCK_WORDS // low.shape[1])
+    for t in range(T + 1, k):
+        offsets = K.add(K.span(R[s:e * t]), R[e * t, :, None])
+        for i in range(0, offsets.shape[1], step):
+            words = K.add(offsets[:, i:i + step, None], low[:, None, :])
+            yield words.reshape(len(words), -1)
 
 
 def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
@@ -497,22 +541,22 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     that weight in the order of ``LinearCode.codewords``.
 
     Only the messages whose most significant nonzero digit is 1 are
-    encoded.  Every nonzero codeword is a multiple of exactly one of
+    weighed.  Every nonzero codeword is a multiple of exactly one of
     them, and multiples have equal weight.  Of a word's multiples, the
     one whose top digit is 1 has the lowest index, because 1 is the
     least nonzero digit; so the first word of least weight in codeword
-    order is among those encoded."""
+    order is among those weighed."""
     F = code.field
+    K = _limbs(F)
     best_w, best = code.n + 1, None
-    for D in _projective_messages(F, code.k, _block_messages(F, code.n)):
-        C = _encode(F, D, code.rows)
-        w = np.count_nonzero(C, axis=1)
+    for words in _projective_blocks(K, _packed_rows(F, code.rows), code.k):
+        w = K.weights(words)
         i = int(w.argmin())
         if w[i] < best_w:
-            best_w, best = int(w[i]), tuple(int(v) for v in C[i])
+            best_w, best = int(w[i]), words[:, i]
             if best_w == 1:
                 break
-    return best_w, best
+    return best_w, K.unpack(best, code.n)
 
 
 @lru_cache(maxsize=None)
@@ -563,31 +607,73 @@ def _min_weight_bz(code: LinearCode, sets) -> int:
     level k on G_1 alone covers every codeword.
     """
     F, k = code.field, code.k
+    K = _limbs(F)
     N = len(sets)
-    chunk = _block_messages(F, code.n)
+    multiples = [_row_multiples(K, _packed_rows(F, G), k) for _, G in sets]
     best = code.n + 1
     for t in range(1, k + 1):
-        for j, (_, G) in enumerate(sets, 1):
-            for D in _weight_messages(F, k, t, chunk):
-                C = _encode(F, D, G)
-                best = min(best, int(np.count_nonzero(C, axis=1).min()))
+        for j, M in enumerate(multiples, 1):
+            for words in _weight_words(K, M, k, t):
+                best = min(best, int(K.weights(words).min()))
             if best <= N * t + j or t == k:
                 return best
     return best
 
 
-def _bz_work(q: int, k: int, N: int, cap: int) -> tuple[int, int]:
-    """(messages, steps) of the longest run of ``_min_weight_bz`` with N
-    information sets, given that the first set's rows include a codeword
-    of weight at most cap; a step is one level on one set."""
-    words = steps = 0
+def _row_multiples(K: _Limbs, R: np.ndarray, k: int) -> np.ndarray:
+    """The words c G_i, c = 1..q-1, of the k rows of G as a block, c G_i
+    at i (q - 1) + c - 1, from the digit rows R (``_packed_rows``): c G_i
+    is word c of the span of the digit rows of G_i."""
+    span = K.span(R.reshape(k, K.e, -1).swapaxes(0, 1))
+    return span[..., 1:].swapaxes(0, 1).reshape(R.shape[1], -1)
+
+
+def _weight_words(K: _Limbs, M: np.ndarray, k: int, t: int):
+    """Blocks of the words of the messages with exactly t nonzero digits,
+    the most significant of them 1, as sums of the multiples M of the
+    rows (``_row_multiples``): C(k, t) (q - 1)^(t - 1) words in all, about
+    _BLOCK_WORDS a block.  The supports come by rank r < C(k, t) in
+    colexicographic order: the largest position of the support of rank
+    r is the largest c with C(c, t) <= r, and the rest is the support of
+    rank r - C(c, t) one size smaller."""
+    q1 = M.shape[1] // k
+    count, total = q1 ** (t - 1), comb(k, t)
+    places = q1 ** np.arange(t - 1, dtype=np.int64)
+    binomials = [np.array([min(comb(c, i), total) for c in range(k)],
+                          dtype=np.int64) for i in range(t + 1)]
+    step = max(1, _BLOCK_WORDS // count)
+    for lo in range(0, total, step):
+        rank = np.arange(lo, min(total, lo + step), dtype=np.int64)
+        S = np.empty((len(rank), t), dtype=np.intp)
+        for i in range(t, 0, -1):
+            S[:, i - 1] = c = binomials[i].searchsorted(rank, "right") - 1
+            rank -= binomials[i][c]
+        S *= q1
+        top = M[:, S[:, -1], None]
+        for start in range(0, count, _BLOCK_WORDS):
+            C = np.arange(start, min(count, start + _BLOCK_WORDS),
+                          dtype=np.int64)[:, None] // places % q1
+            words = top
+            for i in range(t - 1):
+                words = K.add(words, M.take(S[:, i, None] + C[:, i], axis=1))
+            yield words.reshape(len(M), -1)
+
+
+def _bz_work(q: int, k: int, N: int, cap: int) -> tuple[int, int, int]:
+    """(words, supports, steps) of the longest run of ``_min_weight_bz``
+    with N information sets, given that the first set's rows include a
+    codeword of weight at most cap: a step is one level on one set, and
+    the supports of the levels from 2 on are unranked one by one
+    (``_weight_words``)."""
+    words = supports = steps = 0
     for t in range(1, k + 1):
         level = comb(k, t) * (q - 1) ** (t - 1)
         for j in range(1, N + 1):
             words, steps = words + level, steps + 1
+            supports += comb(k, t) if t > 1 else 0
             if N * t + j >= cap or t == k:
-                return words, steps
-    return words, steps
+                return words, supports, steps
+    return words, supports, steps
 
 
 def _distance_cap(code: LinearCode) -> int:
@@ -597,37 +683,39 @@ def _distance_cap(code: LinearCode) -> int:
                min(sum(1 for v in row if v) for row in code.rows))
 
 
-def _enumeration_plan(code: LinearCode, limit: float = float("inf")
+def _enumeration_plan(code: LinearCode, cap: int,
+                      limit: float = float("inf")
                       ) -> tuple[float, tuple | None]:
     """(estimated nanoseconds, information sets or None) of exact
-    enumeration on this code.
+    enumeration on this code, given an upper bound cap on its distance
+    (``_distance_cap``).
 
-    A projective pass encodes (q^k - 1)/(q - 1) messages.  The
-    Brouwer-Zimmermann search needs N >= 2 disjoint information sets, at
-    most n // k of them.  It runs when its worst-case message count
-    (``_bz_work``, with the cap of ``_distance_cap``) is below the
-    projective count and its estimated time is below the projective
-    pass's.  Each estimate charges (k e)(n e) units per message over
-    F_{p^e} and a fixed cost per block of messages after the first (per
-    level on a set, for the search); the search's also charges an
-    elimination of k^2 n units per set.  The sets are only
-    looked for when the search's least estimate over N = 2..n // k is
-    below both the projective pass's and ``limit`` (the cost of another
-    kernel that would win anyway).
+    A projective pass weighs (q^k - 1)/(q - 1) words, about _BLOCK_WORDS
+    a block.  The Brouwer-Zimmermann search needs N >= 2 disjoint
+    information sets, at most n // k of them.  It runs when its
+    worst-case word count (``_bz_work``) is below the projective count
+    and its estimated time is below the projective pass's.  Both charge
+    each word weighed per uint64 limb (``_Limbs``), the pass a fixed cost
+    per block after the first, and the search a fixed cost per level on
+    a set, one per support it unranks and an elimination of k^2 n units
+    per set, at the rank-check rate.  The sets are only looked for when
+    the search's least estimate over N = 2..n // k is below both the
+    projective pass's and ``limit`` (the cost of another kernel that
+    would win anyway).
     """
     F = code.field
     q, n, k = F.order, code.n, code.k
-    unit = k * n * F.degree ** 2 * _ENUM_NS
+    unit = -(-n // _limbs(F).per) * (
+        _ENUM_NS_CHAR2 if F.char == 2 else _ENUM_NS_ODD)
     projective = (q ** k - 1) // (q - 1)
-    blocks = -(-projective // _block_messages(F, n))
+    blocks = -(-projective // _BLOCK_WORDS)
     plan = (projective * unit + (blocks - 1) * _BLOCK_NS, None)
-    cap = _distance_cap(code)
 
     def search_ns(N: int) -> float:
-        words, steps = _bz_work(q, k, N, cap)
+        words, supports, steps = _bz_work(q, k, N, cap)
         if words >= projective:
             return float("inf")
-        return words * unit + (steps - 1) * _BLOCK_NS \
+        return words * unit + supports * _SUPPORT_NS + steps * _STEP_NS \
             + N * k * k * n * _RANK_NS
 
     beat = min(plan[0], limit)
@@ -650,72 +738,15 @@ def _rank_layer(F: Field, cols: list[tuple[int, ...]], w: int) -> bool:
                for subset in combinations(range(len(cols)), w))
 
 
-def _syndrome_packing(F: Field, rho: int):
-    """Vectors of F_q^rho as Python ints, for the collision search.
-
-    Every base-p digit of every coordinate gets its own slot of bits.  In
-    characteristic 2 a slot is one bit and vector addition is xor.  For
-    odd p a slot has b bits with 2^(b-1) >= p: the sum of two reduced
-    digits stays inside its slot, and adding 2^(b-1) - p to every slot
-    sets a slot's top bit exactly where its digit sum reached p, which is
-    where p is subtracted.  Returns (pack, width, add): pack(x) is the
-    element x as coordinate 0, and coordinate r sits width * r bits
-    higher.
-    """
-    p = F.char
-    bits = 1 if p == 2 else (p - 1).bit_length() + 1
-    width = bits * F.degree
-    if p == 2:
-        return (lambda x: x), width, operator.xor
-
-    def pack(x: int) -> int:
-        packed, t = 0, 0
-        while x:
-            packed |= (x % p) << (bits * t)
-            x //= p
-            t += 1
-        return packed
-
-    ones = ((1 << (width * rho)) - 1) // ((1 << bits) - 1)
-    shift = bits - 1
-    bias = ((1 << shift) - p) * ones
-    top = (1 << shift) * ones
-
-    def add(x: int, y: int) -> int:
-        s = x + y
-        return s - (((s + bias) & top) >> shift) * p
-
-    return pack, width, add
-
-
-def _column_multiples(F: Field, cols: Sequence[Sequence[int]],
-                      units: list[int], packing) -> list[list[int]]:
-    """Packed c * h for every nonzero c (field indices 1..q-1) of every
-    column h, given the packed columns ``units``.
-
-    c * h is F_p-linear in the digits of c, so only the multiples by a
-    single power p^i > 1 are computed in the field; any other c * h adds
-    the multiple of c's lowest nonzero place to that of c minus that
-    place.
-    """
-    pack, width, add = packing
-    q, p = F.order, F.char
-    places = [0] * q
-    for c in range(1, q):
-        place = 1
-        while c % (place * p) == 0:
-            place *= p
-        places[c] = place
-    out = []
-    for col, unit in zip(cols, units):
-        mult = [0, unit] + [0] * (q - 2)
-        for c in range(2, q):
-            place = places[c]
-            mult[c] = add(mult[c - place], mult[place]) if place != c \
-                else sum(pack(F.mul(c, v)) << (width * r)
-                         for r, v in enumerate(col))
-        out.append(mult[1:])
-    return out
+def _column_multiples(F: Field, cols: Sequence[Sequence[int]]
+                      ) -> list[list[int]]:
+    """Packed c h for every nonzero c (field indices 1..q-1) of every
+    column h, as Python ints (``_row_multiples``, ``_Limbs.ints``).  The
+    columns' digit rows are used once, so they are not cached."""
+    K, q1 = _limbs(F), F.order - 1
+    words = K.ints(_row_multiples(
+        K, _packed_rows.__wrapped__(F, cols), len(cols)))
+    return [words[j:j + q1] for j in range(0, len(words), q1)]
 
 
 @lru_cache(maxsize=None)
@@ -724,15 +755,16 @@ def _scalar_logs(F: Field) -> tuple[tuple[int, ...], dict[int, int],
     """Discrete logarithms to the base of the multiplicative generator g,
     for the collision search: the powers g^e for e = 0..q-2 (field
     indices); the exponent of every nonzero value as packed by
-    ``_syndrome_packing``; the pairs (e, log(1 - g^e)) for e = 1..q-2;
-    and log(-1)."""
+    ``_Limbs.ints``; the pairs (e, log(1 - g^e)) for e = 1..q-2; and
+    log(-1)."""
     g = F.multiplicative_generator()
     exp = [1]
     for _ in range(F.order - 2):
         exp.append(F.mul(exp[-1], g))
     log = {x: e for e, x in enumerate(exp)}
-    pack = _syndrome_packing(F, 1)[0]
-    return (tuple(exp), {pack(x): e for e, x in enumerate(exp)},
+    K = _limbs(F)
+    packed = K.ints(K.pack(np.array(exp, dtype=np.int64)[:, None]).T)
+    return (tuple(exp), {x: e for e, x in enumerate(packed)},
             tuple((e, log[F.sub(1, x)]) for e, x in enumerate(exp) if e),
             log[F.neg(1)])
 
@@ -741,28 +773,27 @@ class _Syndromes:
     """The parity-check columns of one code, for the collision search.
 
     Scaling a column changes no dependency among the columns, so each
-    column h_j is scaled to have first nonzero coordinate 1 and packed by
-    ``_syndrome_packing``: ``units[j]``, whose first nonzero coordinate
-    is ``leads[j]``.  The multiples g^e h_j for e = 0..q-2 of every
-    column, g the multiplicative generator, are built on first use
-    (``multiples``), that is only for layers whose halves have two or
-    more columns.
+    column h_j is scaled to have first nonzero coordinate 1 and packed as
+    a Python int (``_Limbs.ints``): ``units[j]``, whose first nonzero
+    coordinate is ``leads[j]``.  The multiples g^e h_j for e = 0..q-2 of
+    every column, g the multiplicative generator, are built on first use
+    (``multiples``), that is only for layers whose halves have two or more
+    columns.
     """
 
     def __init__(self, F: Field, cols: Sequence[Sequence[int]]):
         rho = len(cols[0])
         self.field = F
-        self.packing = _syndrome_packing(F, rho)
-        pack, self.width, self.add = self.packing
-        self.cols, self.units, self.leads = [], [], []
+        K = self.limbs = _limbs(F)
+        self.add = K.int_add(rho)
+        self.cols, self.leads = [], []
         for col in cols:
             lead = next((r for r, v in enumerate(col) if v), rho)
             if lead < rho and col[lead] != 1:
                 col = F.scale_row(F.inv(col[lead]), col)
             self.cols.append(col)
-            self.units.append(sum(pack(v) << (self.width * r)
-                                  for r, v in enumerate(col)))
             self.leads.append(lead)
+        self.units = K.ints(K.pack(np.array(self.cols, dtype=np.int64)).T)
         self._multiples = None
 
     def multiples(self) -> list[list[int]]:
@@ -773,17 +804,18 @@ class _Syndromes:
             exp, _, ties, _ = _scalar_logs(F)
             self._multiples = [
                 [m[x - 1] for x in exp] for m in
-                _column_multiples(F, self.cols, self.units, self.packing)]
+                _column_multiples(F, self.cols)]
             self.tied = [[H[t] for _, t in ties] for H in self._multiples]
         return self._multiples
 
     def lead(self, s: int) -> tuple[int, int]:
         """(r, e) for a packed syndrome s != 0: its first nonzero
         coordinate is r, with value g^e."""
-        width = self.width
-        r = ((s & -s).bit_length() - 1) // width
-        return r, _scalar_logs(self.field)[1][s >> width * r
-                                              & ((1 << width) - 1)]
+        K = self.limbs
+        limb, bit = divmod((s & -s).bit_length() - 1, 64)
+        j = bit // K.width
+        value = (s >> 64 * limb + K.width * j) & ((1 << K.width) - 1)
+        return limb * K.per + j, _scalar_logs(self.field)[1][value]
 
 
 def _halves(syn: _Syndromes, size: int, lo: int, hi: int, stop: int):
@@ -950,10 +982,13 @@ def _collision_entries(q: int, n: int, w: int) -> int:
 
 def _layer_costs(F: Field, n: int, k: int, w: int) -> tuple[float, float]:
     """Estimated nanoseconds of layer w of the parity search: by collision
-    (``_collision_entries``) and by rank checks (C(n, w) * w^2 * (n - k)
-    units)."""
-    collision = _collision_entries(F.order, n, w) * (
-        _COLLISION_NS_CHAR2 if F.char == 2 else _COLLISION_NS_ODD)
+    (``_collision_entries``; never where a symbol needs more than one
+    limb) and by rank checks (C(n, w) * w^2 * (n - k) units)."""
+    if not _limbs(F).per:
+        collision = float("inf")
+    else:
+        collision = _collision_entries(F.order, n, w) * (
+            _COLLISION_NS_CHAR2 if F.char == 2 else _COLLISION_NS_ODD)
     rank = comb(n, w) * w * w * (n - k) * _RANK_NS
     return collision, rank
 
@@ -992,7 +1027,6 @@ def _min_weight_parity(code: LinearCode, budget: Budget) -> int:
         "no dependent column set of size redundancy+1 exists")
 
 
-@lru_cache(maxsize=None)
 def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
                       ) -> str:
     """The kernel min_distance(strategy="auto") runs on this code:
@@ -1000,31 +1034,44 @@ def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
     distance itself).
 
     Enumeration is only a candidate when its q^k codewords fit
-    budget.enum.  Its estimated time counts the messages it encodes:
-    (q^k - 1)/(q - 1) for a projective pass, or the worst case of the
-    information-set search where that runs (``_enumeration_plan``).  The
-    parity search stops at layer d, and d is at most cap = min(n - k +
-    1, least weight of a generator row), since every row is a codeword;
-    it is only a candidate when its worst-case subset count up to cap
-    fits budget.rank, so it cannot run out of budget.  Its estimated
-    time is the sum over the layers up to cap of the cheaper of the
-    layer's two searches (``_layer_costs``).  Between two candidates the
-    lower estimated time wins; with neither, the answer is "parity",
+    budget.enum and a symbol fits a 64-bit limb (``_Limbs``).  Its
+    estimated time counts the words it weighs: (q^k - 1)/(q - 1) for a
+    projective pass, or the worst case of the information-set search
+    where that runs (``_enumeration_plan``).  The parity search stops at
+    layer d, and d is at most cap = min(n - k + 1, least weight of a
+    generator row), since every row is a codeword; it is only a
+    candidate when its worst-case subset count up to cap fits
+    budget.rank, so it cannot run out of budget.  Its estimated time is
+    the sum over the layers up to cap of the cheaper of the layer's two
+    searches (``_layer_costs``).  Between two candidates the lower
+    estimated time wins; with neither, the answer is "parity",
     whose search then reports the exhausted budget.
     """
     if code.k == 0:
         raise ValueError("zero code has no minimum distance")
+    return _auto_plan(code, budget)[0]
+
+
+@lru_cache(maxsize=None)
+def _auto_plan(code: LinearCode, budget: Budget
+               ) -> tuple[str, tuple | None]:
+    """``distance_strategy`` with the information sets its enumeration
+    runs on (None for a projective pass or the parity search), so the
+    kernel takes the plan that was priced: one ``_enumeration_plan`` and
+    one ``_distance_cap`` per (code, budget)."""
     F = code.field
     q, n, k = F.order, code.n, code.k
-    if q ** k > budget.enum:
-        return "parity"
-    layers = range(1, _distance_cap(code) + 1)
+    if q ** k > budget.enum or not _limbs(F).per:
+        return "parity", None
+    cap = _distance_cap(code)
+    layers = range(1, cap + 1)
     if sum(comb(n, w) for w in layers) > budget.rank:
-        return "enumeration"
+        return "enumeration", _enumeration_plan(code, cap)[1]
     parity_ns = sum(min(_layer_costs(F, n, k, w)) for w in layers)
-    if parity_ns < _enumeration_plan(code, parity_ns)[0]:
-        return "parity"
-    return "enumeration"
+    enumeration_ns, sets = _enumeration_plan(code, cap, parity_ns)
+    if parity_ns < enumeration_ns:
+        return "parity", None
+    return "enumeration", sets
 
 
 def min_distance(code: LinearCode, *, budget: Budget = Budget(),
@@ -1055,30 +1102,38 @@ def min_distance(code: LinearCode, *, budget: Budget = Budget(),
         return 1
     if strategy == "auto":
         return _auto_distance(code, budget)
-    return _run_kernel(code, strategy, budget)
+    if strategy == "parity":
+        return _min_weight_parity(code, budget)
+    _check_enumeration(code, budget)
+    return _enumerate(code, _enumeration_plan(code, _distance_cap(code))[1])
 
 
 @lru_cache(maxsize=None)
 def _auto_distance(code: LinearCode, budget: Budget) -> int:
-    return _run_kernel(code, distance_strategy(code, budget=budget), budget)
+    strategy, sets = _auto_plan(code, budget)
+    if strategy == "parity":
+        return _min_weight_parity(code, budget)
+    return _enumerate(code, sets)
 
 
 def _check_enumeration(code: LinearCode, budget: Budget) -> None:
-    """Raise ResourceLimitError unless q^k fits the enumeration budget."""
-    if code.field.order ** code.k > budget.enum:
+    """Raise ResourceLimitError unless q^k fits the enumeration budget
+    and a symbol fits a limb (``_Limbs``)."""
+    q = code.field.order
+    if q ** code.k > budget.enum:
         raise ResourceLimitError(
-            f"instance too large: {code.field.order}^{code.k} codewords "
+            f"instance too large: {q}^{code.k} codewords "
             f"exceed the enumeration budget {budget.enum}")
+    if not _limbs(code.field).per:
+        raise ResourceLimitError(
+            f"instance too large: a symbol of F_{q} takes "
+            f"{_limbs(code.field).width} bits, more than one 64-bit limb")
 
 
-def _run_kernel(code: LinearCode, strategy: str, budget: Budget) -> int:
-    if strategy == "parity":
-        return _min_weight_parity(code, budget)
-    _check_enumeration(code, budget)
-    sets = _enumeration_plan(code)[1]
-    if sets:
-        return _min_weight_bz(code, sets)
-    return _min_weight_enum(code)[0]
+def _enumerate(code: LinearCode, sets) -> int:
+    """The distance by the search over the information sets of an
+    enumeration plan, or by a projective pass where they are None."""
+    return _min_weight_bz(code, sets) if sets else _min_weight_enum(code)[0]
 
 
 def min_weight_codeword(code: LinearCode, *, budget: Budget = Budget()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from qclrc import algebra
@@ -418,6 +419,62 @@ def test_trace_table_matches_power_sum():
                        for z in sup.elements()], (sup, sub)
         assert set(got) == set(sub.elements())
     assert algebra._trace_table.cache_info().currsize == 3
+
+
+def test_trace_table_is_linear_in_the_index_digits(monkeypatch):
+    # the table adds digit multiples of the traces of the places, so the
+    # power sum runs once per place, [sup : sub] times a table
+    f4 = make_field(4)
+    cases = [(make_field(5 ** 6), make_field(5)),
+             (make_field(256), make_field(2)),
+             (make_extension(f4, find_irreducible(f4, 3)), f4),
+             (make_field(3 ** 6), make_field(3))]
+    power_trace = algebra._power_trace
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_trace(*args)
+
+    monkeypatch.setattr(algebra, "_power_trace", counted)
+    for sup, sub in cases:
+        calls.clear()
+        table = algebra._trace_table(sup, sub)
+        assert len(calls) <= sup.degree_over(sub)
+        assert list(table) == [power_trace(z, sup, sub)
+                               for z in sup.elements()], (sup, sub)
+
+
+def walked_tables(F):
+    """exp, log and zech of F one element at a time: multiplication by g
+    tabulated from its digit map, its powers walked from 1, log by
+    assignment and zech by a lookup per power."""
+    g, image = F._search_generator()
+    p, n = F.char, F.order - 1
+    places = p ** np.arange(F.degree)
+    digits = np.arange(F.order)[:, None] // places % p
+    times_g = (digits @ image.astype(np.int64) % p @ places).tolist()
+    exp = [1] * n
+    for t in range(1, n):
+        exp[t] = times_g[exp[t - 1]]
+    log = [0] * F.order
+    for t, v in enumerate(exp):
+        log[v] = t
+    zech = None
+    if p != 2:
+        zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
+        zech[n // 2] = -1
+        zech += zech
+    return exp + exp, log, zech
+
+
+@pytest.mark.parametrize("q", [3125, 1 << 16, 3 ** 10])
+def test_log_tables_match_the_walked_build(q):
+    F = make_field(q)
+    assert (F._exp, F._log, F._zech) == walked_tables(F)
+    g = F.multiplicative_generator()
+    assert all(F._exp[t + 1] == F._mul_raw(F._exp[t], g)
+               for t in range(0, q - 1, 97))
 
 
 def test_trace_above_table_max_uses_power_sum(monkeypatch):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from qclrc import codes, construct
@@ -379,13 +380,19 @@ def test_distance_strategy_routes_by_cost():
     # [15, 5]_16 Reed-Solomon: 16^5 codewords against about 32k subsets
     # up to weight 11, each an elimination over an extension field
     F16 = make_field(16)
-    rows = [[F16.pow(a, e) for a in range(1, 16)] for e in range(5)]
-    rs = LinearCode.from_rows(F16, 15, rows)
-    assert distance_strategy(rs) == "enumeration"
-    # the enumeration is the search over its three disjoint information
-    # sets; a short code keeps the single projective pass
-    assert len(codes._enumeration_plan(rs)[1]) == 3
-    assert codes._enumeration_plan(zero_sum_code(F5, 11))[1] is None
+    rs, rs6 = (LinearCode.from_rows(
+        F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(k)])
+        for k in (5, 6))
+    assert distance_strategy(rs) == distance_strategy(rs6) == "enumeration"
+    # [15, 5]_16 takes the projective pass, 0.7-0.8 ms against 1.1-1.2 ms
+    # for the search over its three disjoint information sets; [15, 6]_16
+    # takes the search over its two, 6.1-6.3 ms against 7.3-7.5 ms for the
+    # pass (2-core x86-64); a short code keeps the single projective pass
+    assert codes._auto_plan(rs, Budget()) == ("enumeration", None)
+    assert len(codes._auto_plan(rs6, Budget())[1]) == 2
+    short = zero_sum_code(F5, 11)
+    assert codes._enumeration_plan(short, codes._distance_cap(short))[1] \
+        is None
 
 
 def test_min_distance_auto_enumerates_when_parity_exceeds_rank_budget():
@@ -463,13 +470,28 @@ def first_word_of_weight(code, d):
     return next(c for c in code.codewords() if sum(1 for v in c if v) == d)
 
 
-@pytest.mark.parametrize("block", [1 << 8, 3])
+def counted_blocks(monkeypatch, name):
+    """The sizes of the blocks of words the generator ``name`` yields."""
+    sizes = []
+    blocks = getattr(codes, name)
+
+    def counted(*args):
+        for words in blocks(*args):
+            sizes.append(words.shape[1])
+            yield words
+
+    monkeypatch.setattr(codes, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("block", [1 << 8, 3, 2])
 def test_projective_pass_walks_spans_in_small_blocks(rng, monkeypatch,
                                                      block):
-    # F_81 and F_729 encode through F_3, four and six digits a symbol;
-    # a block of 3 digits holds one message, so every span is split
-    monkeypatch.setattr(codes, "_BLOCK_ENTRIES", block)
-    encoded = counting(monkeypatch, "_encode")
+    # F_81 and F_729 span their words from digit rows over F_3, four and
+    # six a symbol; a block of 3 words holds the span of one digit row,
+    # so every span is split, and a block of 2 spans none
+    monkeypatch.setattr(codes, "_BLOCK_WORDS", block)
+    weighed = counted_blocks(monkeypatch, "_projective_blocks")
     for q in (81, 729):
         F = make_field(q)
         for _ in range(3):
@@ -484,10 +506,11 @@ def test_projective_pass_walks_spans_in_small_blocks(rng, monkeypatch,
                 (d, first_word_of_weight(code, d))
             if q == 81:
                 assert min_weight_codeword(code) == scan_min_weight(code)
-    # at most (q^2 - 1)/(q - 1) = q + 1 messages per code, not q^2
-    assert 0 < sum(len(D) for _, D, _ in encoded) <= 3 * 82 + 3 * 730
-    if block == 3:
-        assert all(len(D) == 1 for _, D, _ in encoded)
+    # at most (q^2 - 1)/(q - 1) = q + 1 words per code, not q^2
+    assert 0 < sum(weighed) <= 3 * 82 + 3 * 730
+    assert max(weighed) <= block
+    if block < 1 << 8:
+        assert len(weighed) >= 27
 
 
 @pytest.mark.parametrize("q", [81, 128, 243, 256, 729, 3125])
@@ -512,12 +535,63 @@ def test_enumeration_agrees_with_parity_on_large_fields(rng, monkeypatch,
             assert min_distance(code, strategy="enumeration") == d
 
 
-def test_encode_multiplies_in_int64_where_floats_could_round():
-    # over F_p with (p - 1)^2 >= 2^50 a float64 product may be inexact,
-    # so messages are encoded by an int64 product
+@pytest.mark.parametrize("q, n, k, support", [(9, 40, 4, 4),
+                                               (3125, 27, 2, 3)])
+def test_enumeration_agrees_on_words_of_several_limbs(rng, monkeypatch, q,
+                                                      n, k, support):
+    # a word of 40 symbols over F_9 takes 4 limbs of 10 symbols, and one
+    # of 27 over F_3125 9 limbs of 3, as do the parity search's syndromes
+    # of 36 and 25 coordinates; rows of a few nonzero symbols keep the
+    # distance, and so the parity search, small, while the least-weight
+    # words reach across limbs
+    F = make_field(q)
+    per = codes._limbs(F).per
+    assert -(-n // per) >= 4
+    across = 0
+    for _ in range(4):
+        rows = []
+        for _ in range(k):
+            row = [0] * n
+            for j in rng.sample(range(n), support):
+                row[j] = rng.randrange(1, q)
+            rows.append(row)
+        code = LinearCode.from_rows(F, n, rows)
+        d = min_distance(code, strategy="parity")
+        w, word = min_weight_codeword(code)
+        assert (w, word) == (d, first_word_of_weight(code, d))
+        across += len({j // per for j, v in enumerate(word) if v}) >= 2
+        for plan in (information_set_search, projective_pass):
+            monkeypatch.setattr(codes, "_enumeration_plan", plan)
+            assert min_distance(code, strategy="enumeration") == d
+    assert across >= 2
+
+
+def test_symbols_wider_than_a_limb_take_the_rank_layers():
+    # a symbol of F_3^22 takes 22 slots of 3 bits, more than one 64-bit
+    # limb: the parity search decides every layer by rank checks, and
+    # enumeration is refused rather than packed
+    F = make_field(3 ** 22)
+    assert codes._limbs(F).per == 0
+    rows = [[1, 0, 0, 5, 7, 9], [0, 1, 0, 2, 3, 11], [0, 0, 1, 4, 8, 1]]
+    code = LinearCode.from_rows(F, 6, rows)
+    whole = Budget(enum=F.order ** 3)
+    assert distance_strategy(code, budget=whole) == "parity"
+    assert min_distance(code) == 3
+    with pytest.raises(ResourceLimitError, match="64-bit limb"):
+        min_distance(code, strategy="enumeration", budget=whole)
+    with pytest.raises(ResourceLimitError, match="64-bit limb"):
+        min_weight_codeword(code, budget=whole)
+
+
+def test_enumeration_packs_a_large_prime_in_wide_slots():
+    # a digit of F_p with (p - 1)^2 >= 2^50 takes a slot of 27 bits, 26
+    # for the digit and one for the carry of the slot-wise add, so two
+    # symbols share a limb
     p = 33554467
     F = make_field(p)
     assert (p - 1) ** 2 >= 1 << 50
+    limbs = codes._limbs(F)
+    assert (limbs.bits, limbs.width, limbs.per) == (27, 27, 2)
     code = LinearCode.from_rows(F, 5, [[7, 0, p - 1, 123456789 % p, 0]])
     assert min_weight_codeword(code, budget=Budget(enum=p)) == \
         (3, code.rows[0])
@@ -540,19 +614,24 @@ def test_min_weight_codeword_memoized_per_code(monkeypatch):
     assert len(enum) == 2
 
 
-def test_prime_generator_held_per_code():
-    # row 2 i + a of the expansion over F_9 is 3^a G_i in base-3 digits;
-    # equal (field, rows) pairs share one read-only array
+def test_packed_rows_held_per_field_and_rows():
+    # row 2 i + a of the packed rows over F_9 is 3^a G_i, one 3-bit slot
+    # per base-3 digit, 6 bits a symbol, 10 symbols a limb; equal
+    # (field, rows) pairs share one read-only array
     F9 = make_field(9)
     G = ((1, 0, 5), (0, 1, 7))
-    X = codes._prime_generator(F9, G)
-    assert X.shape == (4, 6) and not X.flags.writeable
+    R = codes._packed_rows(F9, G)
+    assert R.shape == (4, 1) and R.dtype == np.uint64
+    assert not R.flags.writeable
     for i, row in enumerate(G):
         for a in range(2):
             scaled = F9.scale_row(3 ** a, row)
-            assert X[2 * i + a].tolist() == \
-                [v // 3 ** b % 3 for v in scaled for b in range(2)]
-    assert codes._prime_generator(make_field(9), tuple(list(G))) is X
+            assert int(R[2 * i + a, 0]) == sum(
+                v // 3 ** b % 3 << 6 * j + 3 * b
+                for j, v in enumerate(scaled) for b in range(2))
+            assert codes._limbs(F9).unpack(R[2 * i + a], 3) == \
+                tuple(scaled)
+    assert codes._packed_rows(make_field(9), tuple(list(G))) is R
 
 
 def parity_columns(code):
@@ -716,11 +795,11 @@ def test_found_layer_stops_within_one_position_batch(monkeypatch):
     assert min_distance(code, strategy="parity") == 5
 
 
-def information_set_search(code):
+def information_set_search(code, *_):
     return (0.0, codes._information_sets(code))
 
 
-def projective_pass(code):
+def projective_pass(code, *_):
     return (0.0, None)
 
 
@@ -728,12 +807,13 @@ def projective_pass(code):
 def test_enumeration_kernels_agree_with_parity(rng, monkeypatch, block):
     # each code runs the Brouwer-Zimmermann search and the projective
     # pass, forced through _enumeration_plan, and the parity search; a
-    # block of 5 digits holds one message, so every level and span is
-    # split into several
-    monkeypatch.setattr(codes, "_BLOCK_ENTRIES", block)
+    # block of 5 words splits every level and span of more into several
+    monkeypatch.setattr(codes, "_BLOCK_WORDS", block)
     fields = [make_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)]
     searches = counting(monkeypatch, "_min_weight_bz")
     passes = counting(monkeypatch, "_min_weight_enum")
+    spans = counted_blocks(monkeypatch, "_projective_blocks")
+    levels = counted_blocks(monkeypatch, "_weight_words")
     runs, sets_seen = 0, set()
     for _ in range(120):
         field = rng.choice(fields)
@@ -749,6 +829,11 @@ def test_enumeration_kernels_agree_with_parity(rng, monkeypatch, block):
         sets_seen.add(len(codes._information_sets(code)))
     assert len(searches) == len(passes) == runs
     assert {1, 2, 3} <= sets_seen
+    if block == 5:
+        # the first block of a pass holds S_t + G_t for each span S_t of
+        # at most 4 words: 1 + 2 + 4 words over F_2
+        assert max(levels) <= 5 and max(spans) <= 7
+        assert len(levels) > runs and len(spans) > runs
 
 
 def test_information_sets_are_disjoint_and_systematic(rng):
@@ -774,23 +859,29 @@ def test_information_sets_are_disjoint_and_systematic(rng):
                     field)[1] < code.k
 
 
-def test_enumeration_budget_boundary():
+def test_enumeration_budget_boundary(monkeypatch):
     # q^k = budget.enum enumerates; q^k = budget.enum + 1 raises, on the
     # projective pass and on the information-set search alike
     F16 = make_field(16)
     rs = LinearCode.from_rows(
         F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(5)])
-    assert codes._enumeration_plan(rs)[1] is not None
-    for code, d in ((rs, 11), (zero_sum_code(F3, 7), 2)):
-        size = code.field.order ** code.k
-        assert min_distance(code, strategy="enumeration",
-                            budget=Budget(enum=size)) == d
-        with pytest.raises(ResourceLimitError, match="enumeration budget"):
-            min_distance(code, strategy="enumeration",
-                         budget=Budget(enum=size - 1))
-        assert min_weight_codeword(code, budget=Budget(enum=size))[0] == d
-        with pytest.raises(ResourceLimitError, match="enumeration budget"):
-            min_weight_codeword(code, budget=Budget(enum=size - 1))
+    searches = counting(monkeypatch, "_min_weight_bz")
+    for plan in (information_set_search, projective_pass):
+        monkeypatch.setattr(codes, "_enumeration_plan", plan)
+        for code, d in ((rs, 11), (zero_sum_code(F3, 7), 2)):
+            size = code.field.order ** code.k
+            assert min_distance(code, strategy="enumeration",
+                                budget=Budget(enum=size)) == d
+            with pytest.raises(ResourceLimitError,
+                               match="enumeration budget"):
+                min_distance(code, strategy="enumeration",
+                             budget=Budget(enum=size - 1))
+            assert min_weight_codeword(code,
+                                       budget=Budget(enum=size))[0] == d
+            with pytest.raises(ResourceLimitError,
+                               match="enumeration budget"):
+                min_weight_codeword(code, budget=Budget(enum=size - 1))
+    assert len(searches) == 2
 
 
 def cyclic_rows_from_octal(text, n):
@@ -1014,6 +1105,27 @@ def test_auto_distance_cached_per_budget(monkeypatch):
     assert len(parity) + len(enum) == 1
     assert min_distance(code, budget=Budget(enum=1)) == 4
     assert len(parity) + len(enum) == 2
+
+
+def test_cold_auto_distance_plans_once(monkeypatch):
+    # distance_strategy prices the enumeration with the distance cap, and
+    # the kernel runs on that plan: one _enumeration_plan and one
+    # _distance_cap per cold min_distance, whichever kernel wins
+    F16 = make_field(16)
+    rs, rs6 = (LinearCode.from_rows(
+        F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(k)])
+        for k in (5, 6))
+    plans = counting(monkeypatch, "_enumeration_plan")
+    caps = counting(monkeypatch, "_distance_cap")
+    searches = counting(monkeypatch, "_min_weight_bz")
+    parity = counting(monkeypatch, "_min_weight_parity")
+    for code, d in ((rs, 11), (rs6, 10), (zero_sum_code(F5, 11), 2)):
+        plans.clear()
+        caps.clear()
+        assert min_distance(code) == d
+        assert distance_strategy(code) in ("enumeration", "parity")
+        assert len(plans) == len(caps) == 1
+    assert len(searches) == len(parity) == 1
 
 
 def test_resource_limit_is_not_cached(monkeypatch):
