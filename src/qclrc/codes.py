@@ -35,7 +35,11 @@ the least weight seen meets the floor N (t + 1) that every word not yet
 seen exceeds.  It runs when its estimated cost is lower
 (``_enumeration_plan``).  Either way the enumeration budget bounds q^k.
 
-The parity search runs in layers of increasing weight w.  Each layer is
+Both kernels know a codeword of weight cap = min(n - k + 1, least
+weight of a generator row) before they start (``_distance_cap``), and
+the RREF decides weight 1.  The parity search runs in layers of
+increasing weight w = 2 .. cap - 1 and answers cap if none holds a word:
+it stops where its floor meets that witness.  Each layer it runs is
 decided by one of two exact searches, whichever is estimated cheaper for
 (q, n, k, w): a collision of half-supports compared up to a scalar, or
 one rank check per w-subset of columns, costed at C(n, w) w^2 (n - k)
@@ -85,12 +89,16 @@ _BLOCK_WORDS = 1 << 13
 # rules in distance_strategy, _enumeration_plan and _min_weight_parity.
 # Enumeration weighs each word at one unit per uint64 limb, at a rate per
 # characteristic (xor, or the slot-wise add), plus a fixed cost per
-# block of a projective pass after the first; the Brouwer-Zimmermann
+# block of a projective pass after the first, and for the first block a
+# fixed number of units plus some per digit row p^a G_i it packs and
+# spans (k e over F_{p^e}), at the same rate; the Brouwer-Zimmermann
 # search adds a fixed cost per level on a set, one per support it
 # unranks and one elimination of k^2 * n units per information set,
 # charged at the rank-check rate; layer w of the parity search does
 # C(n, w) * w^2 * (n - k) units by rank checks, or tabulates and streams
-# the entries counted in _collision_entries by collision.  Measured on
+# the entries counted in _collision_entries by collision, and a search
+# that runs any layer first builds and packs the parity-check columns
+# (_PARITY_SETUP_NS).  Measured on
 # 2-core x86-64, Python 3.11, numpy 2.4.  Enumeration: both kernels on
 # random [2k, k], [3k, k] and [5k, k] codes over F_2..F_729 (F_2 k <= 20
 # to F_729 k = 2), four seeds, the fastest of three runs each; fitted by
@@ -115,10 +123,20 @@ _BLOCK_WORDS = 1 << 13
 # two needs a scaling of its own).  Rank checks, one rref per subset on
 # every field (layers of at most 20000 subsets, two draws of random
 # codes): 259-261 ns over prime fields (128-494), 342-386 ns over
-# extension fields (113-1118), 301-310 ns over both.
+# extension fields (113-1118), 301-310 ns over both.  Fixed costs, from
+# cold runs (packed rows not cached), median of 7-9 each, over F_2..F_256:
+# a pass of one block costs 52-383 us beyond its words (144 codes, k =
+# 2..13, median 126 us), fitted by least squares as 8400 + 2500 k e
+# units at the per-limb rate, 25 + 7.5 k e us in characteristic 2 and
+# 63 + 19 k e us in odd (measured over estimated: 0.55-2.1, quartiles
+# 0.78 and 1.15); a parity search whose layers cost nothing by the model
+# (cap 3, layer 2 alone) takes 54-233 us (108 codes, median 97 us).
 _ENUM_NS_CHAR2 = 3.0
 _ENUM_NS_ODD = 7.5
 _BLOCK_NS = 30000.0
+_FIRST_BLOCK_UNITS = 8400.0
+_DIGIT_ROW_UNITS = 2500.0
+_PARITY_SETUP_NS = 100000.0
 _SUPPORT_NS = 75.0
 _STEP_NS = 150000.0
 _RANK_NS = 300.0
@@ -545,7 +563,11 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     them, and multiples have equal weight.  Of a word's multiples, the
     one whose top digit is 1 has the lowest index, because 1 is the
     least nonzero digit; so the first word of least weight in codeword
-    order is among those weighed."""
+    order is among those weighed.  A code of one row has one such word,
+    the row itself, which is returned without packing."""
+    if code.k == 1:
+        row = code.rows[0]
+        return code.n - row.count(0), row
     F = code.field
     K = _limbs(F)
     best_w, best = code.n + 1, None
@@ -677,10 +699,13 @@ def _bz_work(q: int, k: int, N: int, cap: int) -> tuple[int, int, int]:
 
 
 def _distance_cap(code: LinearCode) -> int:
-    """An upper bound on the minimum distance: min(n - k + 1, least
-    weight of a generator row)."""
+    """The weight of a codeword that is known to exist, so an upper bound
+    on the minimum distance: min(n - k + 1, least weight of a generator
+    row).  A row is a codeword; and any n - k + 1 columns of a
+    parity-check matrix, which has n - k rows, are dependent, so some
+    nonzero codeword has its support among them."""
     return min(code.n - code.k + 1,
-               min(sum(1 for v in row if v) for row in code.rows))
+               code.n - max(row.count(0) for row in code.rows))
 
 
 def _enumeration_plan(code: LinearCode, cap: int,
@@ -696,20 +721,23 @@ def _enumeration_plan(code: LinearCode, cap: int,
     worst-case word count (``_bz_work``) is below the projective count
     and its estimated time is below the projective pass's.  Both charge
     each word weighed per uint64 limb (``_Limbs``), the pass a fixed cost
-    per block after the first, and the search a fixed cost per level on
-    a set, one per support it unranks and an elimination of k^2 n units
-    per set, at the rank-check rate.  The sets are only looked for when
-    the search's least estimate over N = 2..n // k is below both the
-    projective pass's and ``limit`` (the cost of another kernel that
+    for its first block that grows with the k e digit rows it packs and
+    spans, and one per block after that, and the search a fixed cost per
+    level on a set, one per support it unranks and an elimination of k^2
+    n units per set, at the rank-check rate.  The sets are only looked
+    for when the search's least estimate over N = 2..n // k is below both
+    the projective pass's and ``limit`` (the cost of another kernel that
     would win anyway).
     """
     F = code.field
     q, n, k = F.order, code.n, code.k
-    unit = -(-n // _limbs(F).per) * (
-        _ENUM_NS_CHAR2 if F.char == 2 else _ENUM_NS_ODD)
+    rate = _ENUM_NS_CHAR2 if F.char == 2 else _ENUM_NS_ODD
+    unit = -(-n // _limbs(F).per) * rate
     projective = (q ** k - 1) // (q - 1)
     blocks = -(-projective // _BLOCK_WORDS)
-    plan = (projective * unit + (blocks - 1) * _BLOCK_NS, None)
+    plan = (projective * unit + (_FIRST_BLOCK_UNITS + _DIGIT_ROW_UNITS * k
+                                 * F.degree) * rate
+            + (blocks - 1) * _BLOCK_NS, None)
 
     def search_ns(N: int) -> float:
         words, supports, steps = _bz_work(q, k, N, cap)
@@ -993,28 +1021,40 @@ def _layer_costs(F: Field, n: int, k: int, w: int) -> tuple[float, float]:
     return collision, rank
 
 
-def _min_weight_parity(code: LinearCode, budget: Budget) -> int:
-    """Smallest w such that some w parity-check columns are dependent.
+def _min_weight_parity(code: LinearCode, budget: Budget, cap: int) -> int:
+    """Smallest w such that some w parity-check columns are dependent,
+    given cap = ``_distance_cap(code)``.
 
-    Layers run in increasing w, each by collision of half-supports or by
-    rank checks, whichever is estimated cheaper; either search decides
-    exactly whether a word of weight w exists, given that no lighter one
-    does.  Before each layer the cumulative subset count is checked
-    against the budget, so the search either completes exactly or
-    rejects upfront, never mid-layer with a wrong answer.
+    The search stops where its floor meets the witness cap (the stopping
+    rule of Brouwer-Zimmermann: Zimmermann 1996; Grassl 2006).  A word
+    of weight 1 is c e_i, and its coefficient on every pivot but i is 0,
+    so it is c times the RREF row with pivot i: the distance is 1 exactly
+    when some generator row has weight 1, that is when cap is 1.  Layers
+    2 .. cap - 1 then run in increasing w, each by collision of
+    half-supports or by rank checks, whichever is estimated cheaper;
+    either search decides exactly whether a word of weight w exists,
+    given that no lighter one does.  If none does, the distance is cap,
+    whose word exists.  So for cap <= 2 no parity-check matrix is built.
+
+    The budget charges C(n, w) subsets for every layer up to the answer,
+    read off the RREF, searched or attained by cap alike, and is checked
+    before each, so the search either completes exactly or rejects
+    upfront, never mid-layer with a wrong answer.
     """
-    F = code.field
-    H = code.dual().rows
-    n, k = code.n, code.k
-    cols = [tuple(row[j] for row in H) for j in range(n)]
-    syn = None
+    F, n, k = code.field, code.n, code.k
+    cols = syn = None
     checked = 0
-    for w in range(1, len(H) + 2):
+    for w in range(1, cap + 1):
         checked += comb(n, w)
         if checked > budget.rank:
             raise ResourceLimitError(
                 f"instance too large: parity-check search needs up to "
                 f"{checked} subset-rank checks, budget is {budget.rank}")
+        if w == 1 or w == cap:
+            continue
+        if cols is None:
+            H = code.dual().rows
+            cols = [tuple(row[j] for row in H) for j in range(n)]
         collision_ns, rank_ns = _layer_costs(F, n, k, w)
         if collision_ns < rank_ns:
             syn = syn or _Syndromes(F, cols)
@@ -1023,8 +1063,7 @@ def _min_weight_parity(code: LinearCode, budget: Budget) -> int:
             found = _rank_layer(F, cols, w)
         if found:
             return w
-    raise InternalConsistencyError(
-        "no dependent column set of size redundancy+1 exists")
+    return cap
 
 
 def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
@@ -1033,19 +1072,25 @@ def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
     "enumeration" or "parity" (cached per (code, budget), like the
     distance itself).
 
+    Both kernels start from cap = min(n - k + 1, least weight of a
+    generator row), the weight of a word known to exist
+    (``_distance_cap``).  The parity search reads layer 1 off the RREF,
+    searches layers 2 .. cap - 1 and answers cap if they find nothing
+    (``_min_weight_parity``).  It is only a candidate when the subset
+    count of layers 1 .. cap fits budget.rank, so it cannot run out of
+    budget.  Its estimated time is the set-up of its parity-check
+    columns plus the sum over layers 2 .. cap - 1 of the cheaper of the
+    layer's two searches (``_layer_costs``).  With cap <= 2 it has no
+    layer to search and builds nothing, so it wins at once.
     Enumeration is only a candidate when its q^k codewords fit
-    budget.enum and a symbol fits a 64-bit limb (``_Limbs``).  Its
-    estimated time counts the words it weighs: (q^k - 1)/(q - 1) for a
-    projective pass, or the worst case of the information-set search
-    where that runs (``_enumeration_plan``).  The parity search stops at
-    layer d, and d is at most cap = min(n - k + 1, least weight of a
-    generator row), since every row is a codeword; it is only a
-    candidate when its worst-case subset count up to cap fits
-    budget.rank, so it cannot run out of budget.  Its estimated time is
-    the sum over the layers up to cap of the cheaper of the layer's two
-    searches (``_layer_costs``).  Between two candidates the lower
-    estimated time wins; with neither, the answer is "parity",
-    whose search then reports the exhausted budget.
+    budget.enum and a symbol fits a 64-bit limb (``_Limbs``).  A code of
+    one row takes it at once, since its one projective word is the row.
+    Otherwise its estimated time counts the words it weighs: (q^k -
+    1)/(q - 1) for a projective pass, or the worst case of the
+    information-set search where that runs (``_enumeration_plan``).
+    Between two candidates the lower estimated time wins; with neither,
+    the answer is "parity", whose search then reports the exhausted
+    budget.
     """
     if code.k == 0:
         raise ValueError("zero code has no minimum distance")
@@ -1054,24 +1099,30 @@ def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
 
 @lru_cache(maxsize=None)
 def _auto_plan(code: LinearCode, budget: Budget
-               ) -> tuple[str, tuple | None]:
+               ) -> tuple[str, tuple | None, int]:
     """``distance_strategy`` with the information sets its enumeration
-    runs on (None for a projective pass or the parity search), so the
-    kernel takes the plan that was priced: one ``_enumeration_plan`` and
-    one ``_distance_cap`` per (code, budget)."""
+    runs on (None for a projective pass or the parity search) and the
+    cap, so the kernel takes the plan that was priced: one
+    ``_distance_cap`` and at most one ``_enumeration_plan`` per (code,
+    budget), none for k = 1 or for cap <= 2 within budget.rank."""
     F = code.field
     q, n, k = F.order, code.n, code.k
-    if q ** k > budget.enum or not _limbs(F).per:
-        return "parity", None
     cap = _distance_cap(code)
-    layers = range(1, cap + 1)
-    if sum(comb(n, w) for w in layers) > budget.rank:
-        return "enumeration", _enumeration_plan(code, cap)[1]
-    parity_ns = sum(min(_layer_costs(F, n, k, w)) for w in layers)
+    if q ** k > budget.enum or not _limbs(F).per:
+        return "parity", None, cap
+    within = sum(comb(n, w) for w in range(1, cap + 1)) <= budget.rank
+    if within and cap <= 2:
+        return "parity", None, cap
+    if k == 1:
+        return "enumeration", None, cap
+    if not within:
+        return "enumeration", _enumeration_plan(code, cap)[1], cap
+    parity_ns = _PARITY_SETUP_NS + sum(min(_layer_costs(F, n, k, w))
+                                       for w in range(2, cap))
     enumeration_ns, sets = _enumeration_plan(code, cap, parity_ns)
     if parity_ns < enumeration_ns:
-        return "parity", None
-    return "enumeration", sets
+        return "parity", None, cap
+    return "enumeration", sets, cap
 
 
 def min_distance(code: LinearCode, *, budget: Budget = Budget(),
@@ -1082,11 +1133,12 @@ def min_distance(code: LinearCode, *, budget: Budget = Budget(),
     multiples, by a projective pass or by the search over disjoint
     information sets, and needs q^k within budget.enum; "parity"
     searches for the smallest linearly dependent set of parity-check
-    columns; "auto" runs the one ``distance_strategy`` picks, the cheaper
-    by estimate among those within budget.  Weight counts nonzero
-    symbols of the code's own alphabet.  The zero code is rejected;
-    budget exhaustion raises ResourceLimitError rather than returning a
-    wrong answer.
+    columns, and stops where that floor meets the weight of a word
+    known from the generator matrix (``_min_weight_parity``); "auto"
+    runs the one ``distance_strategy`` picks, the cheaper by estimate
+    among those within budget.  Weight counts nonzero symbols of the
+    code's own alphabet.  The zero code is rejected; budget exhaustion
+    raises ResourceLimitError rather than returning a wrong answer.
 
     Answers of strategy "auto" are cached for the life of the process,
     keyed by (code, budget); the code is its RREF generator matrix, so
@@ -1103,16 +1155,16 @@ def min_distance(code: LinearCode, *, budget: Budget = Budget(),
     if strategy == "auto":
         return _auto_distance(code, budget)
     if strategy == "parity":
-        return _min_weight_parity(code, budget)
+        return _min_weight_parity(code, budget, _distance_cap(code))
     _check_enumeration(code, budget)
     return _enumerate(code, _enumeration_plan(code, _distance_cap(code))[1])
 
 
 @lru_cache(maxsize=None)
 def _auto_distance(code: LinearCode, budget: Budget) -> int:
-    strategy, sets = _auto_plan(code, budget)
+    strategy, sets, cap = _auto_plan(code, budget)
     if strategy == "parity":
-        return _min_weight_parity(code, budget)
+        return _min_weight_parity(code, budget, cap)
     return _enumerate(code, sets)
 
 

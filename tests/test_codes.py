@@ -388,7 +388,7 @@ def test_distance_strategy_routes_by_cost():
     # for the search over its three disjoint information sets; [15, 6]_16
     # takes the search over its two, 6.1-6.3 ms against 7.3-7.5 ms for the
     # pass (2-core x86-64); a short code keeps the single projective pass
-    assert codes._auto_plan(rs, Budget()) == ("enumeration", None)
+    assert codes._auto_plan(rs, Budget()) == ("enumeration", None, 11)
     assert len(codes._auto_plan(rs6, Budget())[1]) == 2
     short = zero_sum_code(F5, 11)
     assert codes._enumeration_plan(short, codes._distance_cap(short))[1] \
@@ -1108,9 +1108,9 @@ def test_auto_distance_cached_per_budget(monkeypatch):
 
 
 def test_cold_auto_distance_plans_once(monkeypatch):
-    # distance_strategy prices the enumeration with the distance cap, and
-    # the kernel runs on that plan: one _enumeration_plan and one
-    # _distance_cap per cold min_distance, whichever kernel wins
+    # distance_strategy prices the enumeration with the distance cap and
+    # hands the cap to the kernel: one _distance_cap per cold min_distance,
+    # and one _enumeration_plan unless the cap settles the plan at once
     F16 = make_field(16)
     rs, rs6 = (LinearCode.from_rows(
         F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(k)])
@@ -1119,13 +1119,119 @@ def test_cold_auto_distance_plans_once(monkeypatch):
     caps = counting(monkeypatch, "_distance_cap")
     searches = counting(monkeypatch, "_min_weight_bz")
     parity = counting(monkeypatch, "_min_weight_parity")
-    for code, d in ((rs, 11), (rs6, 10), (zero_sum_code(F5, 11), 2)):
+    for code, d, plan_calls in ((rs, 11, 1), (rs6, 10, 1),
+                                (zero_sum_code(F5, 11), 2, 0)):
         plans.clear()
         caps.clear()
         assert min_distance(code) == d
         assert distance_strategy(code) in ("enumeration", "parity")
-        assert len(plans) == len(caps) == 1
+        assert (len(plans), len(caps)) == (plan_calls, 1)
     assert len(searches) == len(parity) == 1
+
+
+def test_every_strategy_matches_the_codeword_scan_across_cap_classes(rng):
+    # the parity search stops where the RREF floor meets the witness cap
+    # = min(n - k + 1, least row weight); all three strategies must still
+    # equal the least nonzero weight of the codewords themselves
+    fields = [make_field(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    classes = set()
+    for _ in range(400):
+        field = rng.choice(fields)
+        n = rng.randint(2, 9)
+        k = rng.randint(1, n - 1)
+        if field.order ** k > 3000:
+            continue
+        code = LinearCode.from_rows(field, n, [
+            [rng.randrange(field.order) for _ in range(n)]
+            for _ in range(k)])
+        if code.k != k:
+            continue
+        d = scan_min_weight(code)[0]
+        for strategy in ("auto", "parity", "enumeration"):
+            assert min_distance(code, strategy=strategy) == d
+        cap = codes._distance_cap(code)
+        assert d <= cap
+        classes.add("k = 1" if k == 1 else "k = n - 1" if k == n - 1
+                    else "k")
+        classes.add("cap <= 2" if cap <= 2 else "d = cap >= 3"
+                    if d == cap else "d < cap")
+    assert classes == {"k = 1", "k = n - 1", "k", "cap <= 2",
+                       "d = cap >= 3", "d < cap"}
+
+
+def test_parity_budget_still_charges_the_layers_it_skips():
+    # [8, 4, 4]: every RREF row has weight 4, so cap = d = 4 and the
+    # search runs layers 2 and 3 only, yet the budget still charges
+    # C(8, w) for layer 1 and for layer cap, as a search of every layer
+    code = LinearCode.from_rows(F2, 8, [
+        [1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+        [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]])
+    assert codes._distance_cap(code) == 4
+    below = sum(comb(8, w) for w in range(1, 4))
+    whole = below + comb(8, 4)
+    for rank in (below, whole - 1):
+        with pytest.raises(ResourceLimitError, match=f"needs up to {whole}"):
+            min_distance(code, strategy="parity", budget=Budget(rank=rank))
+        # auto falls back to enumeration, as when every layer was searched
+        assert distance_strategy(code, budget=Budget(rank=rank)) == \
+            "enumeration"
+        assert min_distance(code, budget=Budget(rank=rank)) == 4
+        with pytest.raises(ResourceLimitError, match="instance too large"):
+            min_distance(code, budget=Budget(enum=15, rank=rank))
+    assert min_distance(code, strategy="parity",
+                        budget=Budget(rank=whole)) == 4
+    assert min_distance(code, budget=Budget(enum=15, rank=whole)) == 4
+
+
+def test_cap_of_two_builds_no_parity_check_matrix(monkeypatch):
+    # cap <= 2 settles the distance from the RREF: d = 1 where a row has
+    # weight 1, and d = 2 otherwise, by the witness of weight cap
+    duals = []
+    dual = LinearCode.dual
+
+    def counted(code):
+        duals.append(code)
+        return dual(code)
+
+    monkeypatch.setattr(LinearCode, "dual", counted)
+    weight_one = LinearCode.from_rows(F3, 4, [[1, 0, 0, 0], [0, 1, 2, 1]])
+    for code, d in ((zero_sum_code(F5, 11), 2), (weight_one, 1),
+                    (LinearCode.from_rows(F4, 3, [[1, 2, 0]]), 2)):
+        assert codes._distance_cap(code) == d
+        assert codes._min_weight_parity(code, Budget(),
+                                        codes._distance_cap(code)) == d
+        assert min_distance(code) == d
+    assert duals == []
+    # the [7, 4, 3] Hamming code has cap 3: layer 2 is searched, on the
+    # parity-check matrix
+    hamming = LinearCode.from_rows(F2, 7, [
+        [1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+        [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]])
+    assert codes._distance_cap(hamming) == 3
+    assert min_distance(hamming, strategy="parity") == 3
+    assert duals == [hamming]
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_one_row_code_is_its_own_least_weight_word(rng, monkeypatch, q):
+    # a code of one row has one projective word, the row itself, so
+    # enumeration returns it without packing any rows
+    F = make_field(q)
+    packed = counting(monkeypatch, "_packed_rows")
+    for _ in range(12):
+        n = rng.randint(1, 9)
+        code = LinearCode.from_rows(
+            F, n, [[rng.randrange(q) for _ in range(n)]])
+        if code.k == 0:
+            continue
+        d = sum(1 for v in code.rows[0] if v)
+        assert min_weight_codeword(code) == (d, first_word_of_weight(code, d))
+        assert min_distance(code, strategy="enumeration") == d
+        if code.n > 1:
+            assert distance_strategy(code) == (
+                "parity" if d <= 2 else "enumeration")
+            assert min_distance(code) == d
+    assert packed == []
 
 
 def test_resource_limit_is_not_cached(monkeypatch):
