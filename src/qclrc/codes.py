@@ -36,24 +36,26 @@ seen exceeds.  It runs when its estimated cost is lower
 (``_enumeration_plan``).  Either way the enumeration budget bounds q^k.
 
 Both kernels know a codeword of weight cap = min(n - k + 1, least
-weight of a generator row) before they start (``_distance_cap``), and
-the RREF decides weight 1.  The parity search runs in layers of
-increasing weight w = 2 .. cap - 1 and answers cap if none holds a word:
-it stops where its floor meets that witness.  Each layer it runs is
-decided by one of two exact searches, whichever is estimated cheaper for
-(q, n, k, w): a collision of half-supports compared up to a scalar, or
-one rank check per w-subset of columns, costed at C(n, w) w^2 (n - k)
-units.  The collision search scales every half's syndrome so that its
-first nonzero coordinate is 1, tabulates the smaller half, b = floor(w/2)
-columns from position a = ceil(w/2) on, C(n-a, b) (q-1)^(b-1) keys, and
-streams the larger, C(n-b, a) (q-1)^(a-1) keys (only those starting
-below a when w is even), stopping at the first hit; halves of three or
-more columns come in lists of about _BATCH_KEYS keys, so a layer that
-finds its word stops soon after the hit.  It is costed by the keys of
-halves of two or more columns and the n (q-1) column multiples those
-halves need (``_collision_entries``); a half of one column is a packed
-column itself, so layer 2 compares n scaled columns on every field at
-next to no cost.
+weight of a generator row) before they start (``_distance_cap``).  The
+parity search runs in layers of increasing weight w = 2 .. cap - 1 and
+answers cap if none holds a word: it stops where its floor meets that
+witness.  The RREF decides weight 1, and the tails of its rows (their
+entries off the pivots) decide weight 2 on every field and weight 3 over
+the fields with byte scalings, with no parity-check matrix built
+(``_proportional_tails``, ``_tail_sums``).  Each later layer is decided
+on the parity-check columns by one of two exact searches, whichever is
+estimated cheaper for (q, n, k, w): a collision of half-supports
+compared up to a scalar, or one rank check per w-subset of columns,
+costed at C(n, w) w^2 (n - k) units.  The collision search scales every
+half's syndrome so that its first nonzero coordinate is 1, tabulates the
+smaller half, b = floor(w/2) columns from position a = ceil(w/2) on,
+C(n-a, b) (q-1)^(b-1) keys, and streams the larger, C(n-b, a)
+(q-1)^(a-1) keys (only those starting below a when w is even), stopping
+at the first hit; halves of three or more columns come in lists of about
+_BATCH_KEYS keys, so a layer that finds its word stops soon after the
+hit.  It is costed by the keys of halves of two or more columns and the
+n (q-1) column multiples those halves need (``_collision_entries``); a
+half of one column is a packed column itself.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat, starmap
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -97,8 +99,9 @@ _BLOCK_WORDS = 1 << 13
 # charged at the rank-check rate; layer w of the parity search does
 # C(n, w) * w^2 * (n - k) units by rank checks, or tabulates and streams
 # the entries counted in _collision_entries by collision, and a search
-# that runs any layer first builds and packs the parity-check columns
-# (_PARITY_SETUP_NS).  Measured on
+# that runs a collision layer first builds and packs the parity-check
+# columns (_PARITY_SETUP_NS); a layer read off the RREF visits the
+# entries counted in _tail_entries (_TAIL_NS each).  Measured on
 # 2-core x86-64, Python 3.11, numpy 2.4.  Enumeration: both kernels on
 # random [2k, k], [3k, k] and [5k, k] codes over F_2..F_729 (F_2 k <= 20
 # to F_729 k = 2), four seeds, the fastest of three runs each; fitted by
@@ -129,14 +132,25 @@ _BLOCK_WORDS = 1 << 13
 # 2..13, median 126 us), fitted by least squares as 8400 + 2500 k e
 # units at the per-limb rate, 25 + 7.5 k e us in characteristic 2 and
 # 63 + 19 k e us in odd (measured over estimated: 0.55-2.1, quartiles
-# 0.78 and 1.15); a parity search whose layers cost nothing by the model
-# (cap 3, layer 2 alone) takes 54-233 us (108 codes, median 97 us).
+# 0.78 and 1.15); building the complement columns [-A^T | I] and their
+# normalised packing for a collision layer takes 21-289 us (1200 random
+# codes, n = 6..40, over F_2..F_256, F_9, F_25 and F_27, two seeds,
+# best of 5; medians 70 and 76 us, 41-42 us for n <= 20).  Layers read
+# off the RREF, from parity searches at cap 4 on codes of distance 4
+# (layers 2 and 3 to the end, over F_2..F_256 byte fields, 168 codes per
+# seed, best of 5), fitted by least squares on the relative error of
+# the runs of at least 1000 entries (82 per seed): 106-110 ns per entry;
+# medians 96-97 ns in characteristic 2, where a sum is one xor, and
+# 216-221 ns in odd characteristic; measured over estimated 0.65-2.5
+# (quartiles 0.85 and 1.9).  Runs of fewer entries take 10-240 us
+# (median 52-55 us).
 _ENUM_NS_CHAR2 = 3.0
 _ENUM_NS_ODD = 7.5
 _BLOCK_NS = 30000.0
 _FIRST_BLOCK_UNITS = 8400.0
 _DIGIT_ROW_UNITS = 2500.0
-_PARITY_SETUP_NS = 100000.0
+_PARITY_SETUP_NS = 75000.0
+_TAIL_NS = 110.0
 _SUPPORT_NS = 75.0
 _STEP_NS = 150000.0
 _RANK_NS = 300.0
@@ -554,9 +568,10 @@ def _projective_blocks(K: _Limbs, R: np.ndarray, k: int):
             yield words.reshape(len(words), -1)
 
 
-def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
+def _min_weight_enum(code: LinearCode) -> tuple[int, np.ndarray | None]:
     """Least weight over the nonzero codewords, and the first codeword of
-    that weight in the order of ``LinearCode.codewords``.
+    that weight in the order of ``LinearCode.codewords`` as one column of
+    limbs (``_Limbs``), left packed for callers that read only the weight.
 
     Only the messages whose most significant nonzero digit is 1 are
     weighed.  Every nonzero codeword is a multiple of exactly one of
@@ -564,10 +579,9 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     one whose top digit is 1 has the lowest index, because 1 is the
     least nonzero digit; so the first word of least weight in codeword
     order is among those weighed.  A code of one row has one such word,
-    the row itself, which is returned without packing."""
+    the row itself, so nothing is packed and the word is None."""
     if code.k == 1:
-        row = code.rows[0]
-        return code.n - row.count(0), row
+        return code.n - code.rows[0].count(0), None
     F = code.field
     K = _limbs(F)
     best_w, best = code.n + 1, None
@@ -578,7 +592,7 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, tuple[int, ...]]:
             best_w, best = int(w[i]), words[:, i]
             if best_w == 1:
                 break
-    return best_w, K.unpack(best, code.n)
+    return best_w, best
 
 
 @lru_cache(maxsize=None)
@@ -700,12 +714,11 @@ def _bz_work(q: int, k: int, N: int, cap: int) -> tuple[int, int, int]:
 
 def _distance_cap(code: LinearCode) -> int:
     """The weight of a codeword that is known to exist, so an upper bound
-    on the minimum distance: min(n - k + 1, least weight of a generator
-    row).  A row is a codeword; and any n - k + 1 columns of a
-    parity-check matrix, which has n - k rows, are dependent, so some
-    nonzero codeword has its support among them."""
-    return min(code.n - code.k + 1,
-               code.n - max(row.count(0) for row in code.rows))
+    on the minimum distance: the least weight of an RREF generator row,
+    min(n - k + 1, least row weight).  A row is a codeword, and it is 1
+    on its pivot and 0 on the k - 1 other pivots, so it never weighs
+    more than n - k + 1 (the Singleton bound)."""
+    return code.n - max(row.count(0) for row in code.rows)
 
 
 def _enumeration_plan(code: LinearCode, cap: int,
@@ -757,6 +770,86 @@ def _enumeration_plan(code: LinearCode, cap: int,
         if len(sets) >= 2 and ns < plan[0]:
             plan = (ns, sets)
     return plan
+
+
+def _tails(code: LinearCode) -> list[tuple[int, ...]]:
+    """The tail f_i of each RREF row R_i: its entries on the n - k columns
+    that are no pivot, in increasing column.  The codeword sum m_i R_i is
+    m on the pivots and sum m_i f_i on the other columns, so its weight is
+    wt(m) + wt(sum m_i f_i).  Read for cap >= 3 only, so n - k >= 2 and
+    the getter returns tuples."""
+    taken = set(code.pivots)
+    get = operator.itemgetter(*(c for c in range(code.n) if c not in taken))
+    return list(map(get, code.rows))
+
+
+def _proportional_tails(F: Field, tails: list[tuple[int, ...]]) -> bool:
+    """Whether a word of weight 2 exists, given that every RREF row
+    weighs at least 3, so every tail at least 2 (``_tails``): a word with
+    one nonzero message digit is a multiple of a row, and one with three
+    or more weighs more than 2, so a word of weight 2 is a R_i + b R_j
+    with a f_i + b f_j = 0, that is f_i and f_j proportional.  Each tail
+    is scaled to lead with 1, by ``bytes.translate`` over a field with
+    byte scalings, and two are proportional exactly when they scale to
+    one key."""
+    scalings = _byte_scalings(F)
+    keys = set()
+    for f in tails:
+        lead = next(filter(None, f))
+        if scalings:
+            keys.add(bytes(f).translate(scalings[F.inv(lead)]))
+        else:
+            keys.add(f if lead == 1 else tuple(F.scale_row(F.inv(lead), f)))
+    return len(keys) < len(tails)
+
+
+def _tail_sums(F: Field, tails: list[tuple[int, ...]]) -> bool:
+    """Whether a word of weight 3 exists, over a field with byte scalings
+    (``_byte_scalings``), given that none is lighter and every RREF row
+    weighs at least 4, so every tail at least 3 (``_tails``).
+
+    Such a word has two or three nonzero message digits.  Scaled so that
+    the first is 1, it is R_i + a R_j with f_i + a f_j of weight 1, or
+    R_i + a R_j + b R_l with f_i + a f_j = -b f_l: a nonzero multiple of
+    a third tail, since a multiple of f_i or f_j would make two tails
+    proportional, a word of weight 2.  So the C(k, 2) (q - 1) sums f_i +
+    a f_j, i < j, are looked up in a set of the (q - 1) k multiples of
+    the tails and the (q - 1) (n - k) vectors of weight 1.  The tails
+    are byte-packed ints, as the rows of ``_rref_bytes``: scaled by
+    ``bytes.translate`` and added by xor or the biased byte-wise add."""
+    p, r, scalings = F.char, len(tails[0]), _byte_scalings(F)[1:]
+    multiples = [[int.from_bytes(raw.translate(scale), "little")
+                  for scale in scalings] for raw in map(bytes, tails)]
+    targets = {c << 8 * t for c in range(1, F.order) for t in range(r)}
+    for row in multiples:
+        targets.update(row)
+    if p == 2:
+        def sums(pairs):
+            return starmap(operator.xor, pairs)
+    else:
+        ones = int.from_bytes(b"\x01" * r, "little")
+        bias, top = (128 - p) * ones, 128 * ones
+
+        def sums(pairs) -> list[int]:
+            return [s - ((s + bias & top) >> 7) * p
+                    for s in starmap(operator.add, pairs)]
+
+    firsts = [row[0] for row in multiples]
+    return any(not targets.isdisjoint(sums(product(firsts[:j], row)))
+               for j, row in enumerate(multiples))
+
+
+def _tail_entries(F: Field, n: int, k: int, w: int) -> int | None:
+    """Entries that layer w visits where it is read off the RREF: the k
+    tails of layer 2 (``_proportional_tails``) on every field; for layer
+    3 over a field with byte scalings (``_tail_sums``), the (q - 1) n
+    multiples it tabulates and the C(k, 2) (q - 1) sums it looks up.
+    None for a layer searched on the parity-check columns."""
+    if w == 2:
+        return k
+    if w == 3 and _byte_scalings(F) is not None:
+        return (F.order - 1) * (n + comb(k, 2))
+    return None
 
 
 def _rank_layer(F: Field, cols: list[tuple[int, ...]], w: int) -> bool:
@@ -1026,15 +1119,22 @@ def _min_weight_parity(code: LinearCode, budget: Budget, cap: int) -> int:
     given cap = ``_distance_cap(code)``.
 
     The search stops where its floor meets the witness cap (the stopping
-    rule of Brouwer-Zimmermann: Zimmermann 1996; Grassl 2006).  A word
-    of weight 1 is c e_i, and its coefficient on every pivot but i is 0,
-    so it is c times the RREF row with pivot i: the distance is 1 exactly
-    when some generator row has weight 1, that is when cap is 1.  Layers
-    2 .. cap - 1 then run in increasing w, each by collision of
-    half-supports or by rank checks, whichever is estimated cheaper;
-    either search decides exactly whether a word of weight w exists,
-    given that no lighter one does.  If none does, the distance is cap,
-    whose word exists.  So for cap <= 2 no parity-check matrix is built.
+    rule of Brouwer-Zimmermann: Zimmermann 1996; Grassl 2006).  Layers
+    2 .. cap - 1 run in increasing w; each decides exactly whether a word
+    of weight w exists, given that no lighter one does, and if none does
+    the distance is cap, whose word exists.  The first layers are read
+    off the RREF rows, whose least weight is cap (``_tails``): a word of
+    weight 1 is c e_i, and its coefficient on every pivot but i is 0, so
+    it is c times the row with pivot i, and the distance is 1 exactly
+    when cap is 1; layer 2 compares the tails up to a scalar on every
+    field (``_proportional_tails``), and layer 3 looks sums of two tails
+    up among the multiples of the others over a field with byte scalings
+    (``_tail_sums``).  Every other layer is searched on the parity-check
+    columns, by collision of half-supports or by rank checks, whichever
+    is estimated cheaper.  The columns are those of the complement basis
+    [-A^T | I] (``_complement``), which spans the dual: row operations
+    keep every dependency among the columns.  So for cap <= 4 (cap <= 3
+    without byte scalings) no parity-check matrix is built.
 
     The budget charges C(n, w) subsets for every layer up to the answer,
     read off the RREF, searched or attained by cap alike, and is checked
@@ -1042,7 +1142,7 @@ def _min_weight_parity(code: LinearCode, budget: Budget, cap: int) -> int:
     upfront, never mid-layer with a wrong answer.
     """
     F, n, k = code.field, code.n, code.k
-    cols = syn = None
+    tails = cols = syn = None
     checked = 0
     for w in range(1, cap + 1):
         checked += comb(n, w)
@@ -1052,9 +1152,13 @@ def _min_weight_parity(code: LinearCode, budget: Budget, cap: int) -> int:
                 f"{checked} subset-rank checks, budget is {budget.rank}")
         if w == 1 or w == cap:
             continue
+        if _tail_entries(F, n, k, w) is not None:
+            tails = tails or _tails(code)
+            if (_proportional_tails if w == 2 else _tail_sums)(F, tails):
+                return w
+            continue
         if cols is None:
-            H = code.dual().rows
-            cols = [tuple(row[j] for row in H) for j in range(n)]
+            cols = list(zip(*_complement(F, n, code.rows, code.pivots)[0]))
         collision_ns, rank_ns = _layer_costs(F, n, k, w)
         if collision_ns < rank_ns:
             syn = syn or _Syndromes(F, cols)
@@ -1074,14 +1178,16 @@ def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
 
     Both kernels start from cap = min(n - k + 1, least weight of a
     generator row), the weight of a word known to exist
-    (``_distance_cap``).  The parity search reads layer 1 off the RREF,
-    searches layers 2 .. cap - 1 and answers cap if they find nothing
-    (``_min_weight_parity``).  It is only a candidate when the subset
-    count of layers 1 .. cap fits budget.rank, so it cannot run out of
-    budget.  Its estimated time is the set-up of its parity-check
-    columns plus the sum over layers 2 .. cap - 1 of the cheaper of the
-    layer's two searches (``_layer_costs``).  With cap <= 2 it has no
-    layer to search and builds nothing, so it wins at once.
+    (``_distance_cap``).  The parity search decides layers 2 .. cap - 1
+    and answers cap if they find nothing (``_min_weight_parity``).  It
+    is only a candidate when the subset count of layers 1 .. cap fits
+    budget.rank, so it cannot run out of budget.  Its estimated time sums
+    over layers 2 .. cap - 1: the entries of a layer read off the RREF
+    (``_tail_entries``), at _TAIL_NS each, or the cheaper of a column
+    layer's two searches (``_layer_costs``), plus the set-up of the
+    packed parity-check columns once if the cheaper search of some layer
+    is a collision.  With cap <= 2 it has no layer to decide, so it wins
+    at once.
     Enumeration is only a candidate when its q^k codewords fit
     budget.enum and a symbol fits a 64-bit limb (``_Limbs``).  A code of
     one row takes it at once, since its one projective word is the row.
@@ -1104,7 +1210,11 @@ def _auto_plan(code: LinearCode, budget: Budget
     runs on (None for a projective pass or the parity search) and the
     cap, so the kernel takes the plan that was priced: one
     ``_distance_cap`` and at most one ``_enumeration_plan`` per (code,
-    budget), none for k = 1 or for cap <= 2 within budget.rank."""
+    budget), none for k = 1 or for cap <= 2 within budget.rank.  The
+    parity search is priced layer by layer as ``_min_weight_parity``
+    runs it: by the entries of the layers read off the RREF, by the
+    cheaper search of the others, and by _PARITY_SETUP_NS where a
+    collision layer packs the parity-check columns."""
     F = code.field
     q, n, k = F.order, code.n, code.k
     cap = _distance_cap(code)
@@ -1117,8 +1227,17 @@ def _auto_plan(code: LinearCode, budget: Budget
         return "enumeration", None, cap
     if not within:
         return "enumeration", _enumeration_plan(code, cap)[1], cap
-    parity_ns = _PARITY_SETUP_NS + sum(min(_layer_costs(F, n, k, w))
-                                       for w in range(2, cap))
+    parity_ns, packs = 0.0, False
+    for w in range(2, cap):
+        entries = _tail_entries(F, n, k, w)
+        if entries is not None:
+            parity_ns += entries * _TAIL_NS
+            continue
+        collision_ns, rank_ns = _layer_costs(F, n, k, w)
+        parity_ns += min(collision_ns, rank_ns)
+        packs = packs or collision_ns < rank_ns
+    if packs:
+        parity_ns += _PARITY_SETUP_NS
     enumeration_ns, sets = _enumeration_plan(code, cap, parity_ns)
     if parity_ns < enumeration_ns:
         return "parity", None, cap
@@ -1205,7 +1324,10 @@ def min_weight_codeword(code: LinearCode, *, budget: Budget = Budget()
 
 @lru_cache(maxsize=None)
 def _first_min_weight_word(code: LinearCode) -> tuple[int, tuple[int, ...]]:
-    return _min_weight_enum(code)
+    w, word = _min_weight_enum(code)
+    if word is None:
+        return w, code.rows[0]
+    return w, _limbs(code.field).unpack(word, code.n)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,15 @@ def zero_sum_code(field, n):
                     for j in range(n)] for i in range(n - 1)])
 
 
+def reed_solomon(F, n, k):
+    """The [n, k, n - k + 1] code of the polynomials of degree below k
+    evaluated at n distinct nonzero field elements."""
+    g = F.multiplicative_generator()
+    points = [F.pow(g, e) for e in range(n)]
+    return LinearCode.from_rows(
+        F, n, [[F.pow(x, t) for x in points] for t in range(k)])
+
+
 def test_distance_strategy_routes_by_cost():
     # [11, 10]_5: 5^10 codewords against 66 column subsets up to weight 2
     assert distance_strategy(zero_sum_code(F5, 11)) == "parity"
@@ -693,10 +702,12 @@ def test_parity_layers_agree_with_enumeration(rng, monkeypatch, choice):
     assert orders == {field.order for field in fields}
 
 
-def test_power_column_code_over_f3125_decides_layer_2_by_collision(
+def test_power_column_code_over_f3125_reads_layer_2_off_the_rref(
         monkeypatch):
-    # a constituent the 4.6 scan verifies: layer 2 compares normalised
-    # columns and builds none of the 27 * 3124 column multiples
+    # a constituent the 4.6 scan verifies, cap 4: layer 2 compares the 24
+    # row tails up to a scalar; F_3125 has no byte scalings, so layer 3
+    # is searched on the parity-check columns, by rank checks, and none
+    # of the 27 * 3124 column multiples is built
     F = make_field(3125)
     code = construct._power_column_code(F, 27, 24, 4)
     layers = []
@@ -706,24 +717,20 @@ def test_power_column_code_over_f3125_decides_layer_2_by_collision(
 
         def run(*args):
             found = kernel(*args)
-            layers.append((name, args[-1], found))
+            layers.append((name, found))
             return found
 
         monkeypatch.setattr(codes, name, run)
 
-    record("_collision_layer")
-    record("_rank_layer")
+    for name in ("_proportional_tails", "_tail_sums", "_collision_layer",
+                 "_rank_layer"):
+        record(name)
     built = counting(monkeypatch, "_column_multiples")
+    assert codes._distance_cap(code) == 4
     assert distance_strategy(code) == "parity"
     assert min_distance(code) == 4
-    assert ("_collision_layer", 2, False) in layers
+    assert layers == [("_proportional_tails", False), ("_rank_layer", False)]
     assert not built
-    answers = [(w, found) for _, w, found in layers]
-    layers.clear()
-    monkeypatch.setattr(codes, "_layer_costs", lambda *layer: (1, 0))
-    assert min_distance(code, strategy="parity") == 4
-    assert {name for name, _, _ in layers} == {"_rank_layer"}
-    assert [(w, found) for _, w, found in layers] == answers
 
 
 @pytest.mark.parametrize("q, n, k, top", [
@@ -772,10 +779,7 @@ def test_found_layer_stops_within_one_position_batch(monkeypatch):
     # builds fewer keys than the list of all halves with first position
     # 0 that a batch per first position would compute before its test.
     F = make_field(16)
-    g = F.multiplicative_generator()
-    points = [F.pow(g, e) for e in range(15)]
-    code = LinearCode.from_rows(
-        F, 15, [[F.pow(x, t) for x in points] for t in range(11)])
+    code = reed_solomon(F, 15, 11)
     built = []
     halves = codes._halves
 
@@ -1185,15 +1189,10 @@ def test_parity_budget_still_charges_the_layers_it_skips():
 
 def test_cap_of_two_builds_no_parity_check_matrix(monkeypatch):
     # cap <= 2 settles the distance from the RREF: d = 1 where a row has
-    # weight 1, and d = 2 otherwise, by the witness of weight cap
-    duals = []
-    dual = LinearCode.dual
-
-    def counted(code):
-        duals.append(code)
-        return dual(code)
-
-    monkeypatch.setattr(LinearCode, "dual", counted)
+    # weight 1, and d = 2 otherwise, by the witness of weight cap; layers
+    # 2 and 3 are read off the row tails, so cap 3 and cap 4 build no
+    # parity-check matrix either, over a field with byte scalings
+    duals = counted_duals(monkeypatch)
     weight_one = LinearCode.from_rows(F3, 4, [[1, 0, 0, 0], [0, 1, 2, 1]])
     for code, d in ((zero_sum_code(F5, 11), 2), (weight_one, 1),
                     (LinearCode.from_rows(F4, 3, [[1, 2, 0]]), 2)):
@@ -1201,15 +1200,198 @@ def test_cap_of_two_builds_no_parity_check_matrix(monkeypatch):
         assert codes._min_weight_parity(code, Budget(),
                                         codes._distance_cap(code)) == d
         assert min_distance(code) == d
-    assert duals == []
-    # the [7, 4, 3] Hamming code has cap 3: layer 2 is searched, on the
-    # parity-check matrix
+    # the [7, 4, 3] Hamming code has cap 3, the [8, 4, 4] extended
+    # Hamming code and the [6, 3, 4] Reed-Solomon code over F_7 cap 4
     hamming = LinearCode.from_rows(F2, 7, [
         [1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
         [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]])
-    assert codes._distance_cap(hamming) == 3
-    assert min_distance(hamming, strategy="parity") == 3
-    assert duals == [hamming]
+    extended = LinearCode.from_rows(F2, 8, [
+        [1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+        [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]])
+    for code, cap in ((hamming, 3), (extended, 4),
+                      (reed_solomon(make_field(7), 6, 3), 4)):
+        assert codes._distance_cap(code) == cap
+        assert min_distance(code, strategy="parity") == cap
+    assert duals == []
+    # cap 5 searches layer 4 on the columns of one complement basis, as
+    # does layer 3 over F_9, which has no byte scalings; no dual is
+    # reduced
+    for code, cap in ((reed_solomon(make_field(8), 7, 3), 5),
+                      (reed_solomon(make_field(9), 8, 5), 4)):
+        assert codes._distance_cap(code) == cap
+        assert min_distance(code, strategy="parity") == cap
+        assert duals == [("complement", code)]
+        duals.clear()
+
+
+def counted_duals(monkeypatch):
+    """The parity-check matrices built: ("dual", code) for each
+    LinearCode.dual and ("complement", code) for each complement basis
+    written from a code's own rows."""
+    built = []
+    dual, complement = LinearCode.dual, codes._complement
+
+    def counted_dual(code):
+        built.append(("dual", code))
+        return dual(code)
+
+    def counted_complement(F, n, rows, pivots):
+        built.append(("complement", LinearCode(F, n, tuple(rows),
+                                               tuple(pivots))))
+        return complement(F, n, rows, pivots)
+
+    monkeypatch.setattr(LinearCode, "dual", counted_dual)
+    monkeypatch.setattr(codes, "_complement", counted_complement)
+    return built
+
+
+def tail_layers(code):
+    """(layer 2, layer 3) as read off the RREF, None where not read."""
+    F, n, k = code.field, code.n, code.k
+    cap = codes._distance_cap(code)
+    tails = codes._tails(code)
+    two = codes._proportional_tails(F, tails) if cap >= 3 else None
+    three = codes._tail_sums(F, tails) if cap >= 4 and not two and \
+        codes._tail_entries(F, n, k, 3) is not None else None
+    return two, three
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
+def test_rref_layers_agree_with_the_codeword_enumeration(rng, q):
+    # each layer read off the RREF holds a word exactly where the
+    # enumeration's least weight says so, and the parity search, which
+    # reads them, returns that weight, at cap 3, 4 and at least 5; F_9
+    # and F_27 have no byte scalings, so they read layer 2 alone
+    F = make_field(q)
+    want = {(cap, hit) for cap in (3, 4, 5) for hit in (True, False)} | {
+        ("layer 2", True), ("layer 2", False)}
+    if codes._byte_scalings(F) is not None:
+        want |= {("layer 3", True), ("layer 3", False)}
+    seen = set()
+    for _ in range(2500):
+        n = rng.randint(4, 13 if q < 27 else 8)
+        k = rng.randint(2, n - 2)
+        if q ** k > 1 << 13:
+            continue
+        code = random_code(rng, F, n, k)
+        if code.k < 2:
+            continue
+        cap = codes._distance_cap(code)
+        if cap < 3:
+            continue
+        d = codes._min_weight_enum(code)[0]
+        two, three = tail_layers(code)
+        assert two == (d == 2)
+        if three is not None:
+            assert three == (d == 3)
+        assert codes._min_weight_parity(code, Budget(rank=10 ** 9), cap) \
+            == d
+        seen.add((min(cap, 5), d == cap))
+        seen.add(("layer 2", two))
+        if three is not None:
+            seen.add(("layer 3", three))
+        if seen == want:
+            break
+    assert seen == want
+
+
+def test_cap_is_the_least_row_weight_and_never_above_singleton(rng):
+    # an RREF row is 1 on its pivot and 0 on the other pivots, so it
+    # weighs at most n - k + 1: cap = n - k + 1 only where every tail is
+    # full, and never below the least row weight
+    for _ in range(300):
+        F = rng.choice([F2, F3, F4, F5, make_field(9)])
+        n = rng.randint(2, 12)
+        code = random_code(rng, F, n, n)
+        if code.k == 0:
+            continue
+        least = min(n - row.count(0) for row in code.rows)
+        assert codes._distance_cap(code) == least <= n - code.k + 1
+    # cap = n - k + 1, the least row weight, with d = cap (Reed-Solomon
+    # codes, read off the RREF up to layer 3 over F_7 and F_8, and up to
+    # layer 2 over F_9) and with d < cap: over F_3, the tails (1, 1, 1)
+    # and (1, 2, 1) differ by a vector of weight 1
+    for F, n, k in ((make_field(7), 6, 3), (make_field(8), 7, 4),
+                    (make_field(9), 8, 5)):
+        code = reed_solomon(F, n, k)
+        assert codes._distance_cap(code) == n - k + 1
+        assert tail_layers(code) == (
+            (False, False) if F.order < 9 else (False, None))
+        assert min_distance(code, strategy="parity") == \
+            codes._min_weight_enum(code)[0] == n - k + 1
+    code = LinearCode.from_rows(F3, 5, [[1, 0, 1, 1, 1], [0, 1, 1, 2, 1]])
+    assert codes._distance_cap(code) == 4 == code.n - code.k + 1
+    assert tail_layers(code) == (False, True)
+    assert min_distance(code, strategy="parity") == 3
+
+
+@pytest.mark.parametrize("q, tails, form", [
+    # f_1 + f_2 = (0, 0, 0, 1)
+    (2, [(1, 1, 1, 0), (1, 1, 1, 1)], "weight-1 sum"),
+    # f_1 + 2 f_2 = (1, 2, 3, 4) + (4, 3, 2, 2) = (0, 0, 0, 1)
+    (5, [(1, 2, 3, 4), (2, 4, 1, 1)], "weight-1 sum"),
+    # f_1 + f_2 = f_3
+    (2, [(1, 1, 1, 0, 0), (0, 0, 1, 1, 1), (1, 1, 0, 1, 1)], "dependent"),
+    # f_1 + 3 f_2 = (1, 2, 6, 5, 1) = 4 f_3
+    (7, [(1, 2, 3, 0, 0), (0, 0, 1, 4, 5), (2, 4, 5, 3, 2)], "dependent"),
+])
+def test_each_form_of_a_weight_3_word_is_read_off_the_tails(q, tails, form):
+    # rows [I | tails] of weight at least 4, no two tails proportional:
+    # the word of weight 3 is R_1 + a R_2 with a tail sum of weight 1, or
+    # three rows whose tails are dependent while no sum of two tails has
+    # weight 1
+    F = make_field(q)
+    k = len(tails)
+    rows = [[int(i == j) for j in range(k)] + list(f)
+            for i, f in enumerate(tails)]
+    code = LinearCode.from_rows(F, len(rows[0]), rows)
+    assert codes._tails(code) == tails
+    assert codes._distance_cap(code) >= 4
+    light = [(i, j, a) for i in range(k) for j in range(i + 1, k)
+             for a in range(1, q)
+             if sum(1 for u, v in zip(tails[i], tails[j])
+                    if F.add(u, F.mul(a, v))) == 1]
+    assert bool(light) == (form == "weight-1 sum")
+    assert tail_layers(code) == (False, True)
+    assert codes._min_weight_enum(code)[0] == 3
+    assert min_distance(code, strategy="parity") == 3
+
+
+def proportional_pair(F):
+    """Rows [I | f] and [I | 5 f]: a word of weight 2."""
+    f = [1, 2, 3]
+    return LinearCode.from_rows(F, 5, [[1, 0] + f,
+                                       [0, 1] + F.scale_row(5, f)])
+
+
+def given_rows(*rows):
+    return lambda F: LinearCode.from_rows(F, len(rows[0]), rows)
+
+
+@pytest.mark.parametrize("q, make, d", [
+    # d = 2 found in layer 2 over F_9, which has no byte scalings
+    (9, proportional_pair, 2),
+    # d = 3 found in layer 3 over F_2, and at cap 3 over F_2
+    (2, given_rows([1, 0, 1, 1, 1, 0], [0, 1, 1, 1, 1, 1]), 3),
+    (2, given_rows([1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+                   [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]), 3),
+    # d = cap = 4 through both RREF layers over F_7, and through layer 3
+    # on the parity-check columns over F_9
+    (7, given_rows([1] * 6, [1, 2, 3, 4, 5, 6], [1, 4, 2, 2, 4, 1]), 4),
+    (9, lambda F: reed_solomon(F, 8, 5), 4),
+])
+def test_rref_layers_keep_the_parity_budget_boundary(q, make, d):
+    # the rank budget charges C(n, w) for every layer up to the answer,
+    # read off the RREF, searched or attained by cap alike: one subset
+    # less than that raises, as it did when every layer was searched on
+    # the parity-check columns
+    code = make(make_field(q))
+    assert codes._min_weight_enum(code)[0] == d
+    need = sum(comb(code.n, w) for w in range(1, d + 1))
+    with pytest.raises(ResourceLimitError, match=f"needs up to {need}"):
+        min_distance(code, strategy="parity", budget=Budget(rank=need - 1))
+    assert min_distance(code, strategy="parity", budget=Budget(rank=need)) \
+        == d
 
 
 @pytest.mark.parametrize("q", [2, 4, 9])
