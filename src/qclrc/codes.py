@@ -65,7 +65,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations, product, repeat, starmap
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -215,6 +215,27 @@ def _byte_scalings(field: Field) -> tuple[bytes, ...] | None:
     return tuple(row.tobytes() for row in table)
 
 
+def byte_packed_add(field: Field, width: int
+                    ) -> Callable[[int, int], int] | None:
+    """Addition of vectors of ``width`` entries held as one Python int,
+    byte j holding entry j, as the rows of ``_rref_bytes``: xor in
+    characteristic 2, the biased byte-wise add for odd p.  None for a
+    field without byte scalings (``_byte_scalings``)."""
+    if _byte_scalings(field) is None:
+        return None
+    p = field.char
+    if p == 2:
+        return operator.xor
+    ones = int.from_bytes(b"\x01" * width, "little")
+    bias, top = (128 - p) * ones, 128 * ones
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - ((s + bias & top) >> 7) * p
+
+    return add
+
+
 def _rref_bytes(rows: Iterable[Sequence[int]], field: Field,
                 scalings: tuple[bytes, ...]
                 ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
@@ -287,18 +308,21 @@ def _rref_bytes(rows: Iterable[Sequence[int]], field: Field,
 class LinearCode:
     """A linear code of length n, stored as an RREF generator matrix.
 
-    ``rows`` holds only the nonzero rows, so the dimension is len(rows).
-    The zero code has an empty row tuple.  Every cache keyed by a code
-    hashes it, so the hash is taken once, in the constructor.
+    ``rows`` holds only the nonzero rows, so the dimension ``k`` is
+    len(rows).  The zero code has an empty row tuple.  Every cache keyed
+    by a code hashes it, and the distance kernels and the family scans
+    read ``k`` on every call, so both are taken once, in the constructor.
     """
 
     field: Field
     n: int
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
+    k: int = dc_field(init=False, repr=False, compare=False)
     _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", len(self.rows))
         object.__setattr__(self, "_hash",
                            hash((self.field, self.n, self.rows)))
 
@@ -308,14 +332,25 @@ class LinearCode:
     @classmethod
     def from_rows(cls, field: Field, n: int,
                   rows: Iterable[Sequence[int]]) -> "LinearCode":
+        """The code spanned by ``rows``, each of length n with entries in
+        the field; raises ValueError at the first row that is not.
+
+        The row lengths and the set of all entries are checked in one
+        pass; only a matrix that fails it is walked row by row, to name
+        the first fault.
+        """
         mat = [tuple(r) for r in rows]
-        for r in mat:
-            if len(r) != n:
-                raise ValueError(f"row length {len(r)} != code length {n}")
-            if r and not 0 <= min(r) <= max(r) < field.order:
-                v = next(v for v in r if not 0 <= v < field.order)
-                raise ValueError(f"entry {v} outside field of order "
-                                 f"{field.order}")
+        vals = set().union(*mat)
+        if not {n}.issuperset(map(len, mat)) or vals and not (
+                0 <= min(vals) and max(vals) < field.order):
+            for r in mat:
+                if len(r) != n:
+                    raise ValueError(
+                        f"row length {len(r)} != code length {n}")
+                if r and not 0 <= min(r) <= max(r) < field.order:
+                    v = next(v for v in r if not 0 <= v < field.order)
+                    raise ValueError(f"entry {v} outside field of order "
+                                     f"{field.order}")
         ech, rank, piv = rref(mat, field)
         return cls(field, n, ech[:rank], piv)
 
@@ -328,10 +363,6 @@ class LinearCode:
         rows = tuple(tuple(1 if j == i else 0 for j in range(n))
                      for i in range(n))
         return cls(field, n, rows, tuple(range(n)))
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -362,16 +393,12 @@ class LinearCode:
         n - k rows.  From the reverse RREF (the RREF of the rows with the
         columns reversed, read back), where R_p[f] != 0 only for f < p,
         each vector starts with its 1 and the basis is the dual's RREF as
-        it stands.  So the smaller side is reduced: the code's k rows
-        when 2k < n, the dual's n - k rows otherwise.
+        it stands (``dual_of_span``).  So the smaller side is reduced: the
+        code's k rows when 2k < n, the dual's n - k rows otherwise.
         """
         F, n = self.field, self.n
         if 2 * self.k < n:
-            ech, rank, piv = rref([row[::-1] for row in self.rows], F)
-            rows = [row[::-1] for row in ech[:rank]]
-            basis, free = _complement(F, n, rows,
-                                      [n - 1 - c for c in piv])
-            return LinearCode(F, n, tuple(map(tuple, basis)), free)
+            return dual_of_span(F, n, self.rows)
         basis, _ = _complement(F, n, self.rows, self.pivots)
         return LinearCode.from_rows(F, n, basis)
 
@@ -390,6 +417,22 @@ class LinearCode:
             for coef, row in zip(msg, self.rows):
                 word = self.field.axpy(word, coef, row)
             yield tuple(word)
+
+
+def dual_of_span(F: Field, n: int, rows: Sequence[Sequence[int]]
+                 ) -> LinearCode:
+    """The dual of the span of ``rows`` (length n each, entries in F, any
+    rank), from one rref of the rows with their columns reversed.
+
+    The reverse RREF, read back, has every row 1 on its pivot p, 0 on the
+    other pivots and 0 past p, so its complement basis (``_complement``)
+    starts each vector with its 1: that is the dual's RREF, and no second
+    reduction is needed, whether the rows are raw or already reduced.
+    """
+    ech, rank, piv = rref([row[::-1] for row in rows], F)
+    back = [row[::-1] for row in ech[:rank]]
+    basis, free = _complement(F, n, back, [n - 1 - c for c in piv])
+    return LinearCode(F, n, tuple(map(tuple, basis)), free)
 
 
 def _complement(F: Field, n: int, rows: Sequence[Sequence[int]],

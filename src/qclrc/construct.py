@@ -12,7 +12,10 @@ meet; from that member on the family is certified optimal.
 
 Extended constituents are built by a deterministic ladder and each rung's
 output is verified (length, dimension, exact minimum distance) before use,
-never trusted from the construction alone:
+never trusted from the construction alone.  Each rung builds its code in
+RREF with no redundant elimination: identity rows and zero-padded RREF
+rows as they stand, a code given by parity-check columns as their dual
+with one rref (``dual_of_span``).  The rungs:
 
 - distance 1: identity rows padded with zero columns;
 - distance d with redundancy d-1, and zero-padded if redundancy is larger:
@@ -20,7 +23,8 @@ never trusted from the construction alone:
   unit column when one more column than field elements is needed;
 - greedy parity columns in base-q counting order, accepting a column iff
   it avoids the span of every (d-2)-subset already chosen, for keys whose
-  scan stays within GREEDY_WORK_BUDGET steps;
+  scan stays within GREEDY_WORK_BUDGET steps; over fields with byte
+  scalings the scan keys on byte-packed ints;
 - distance 4 at redundancy 4: columns on an elliptic quadric built from
   the first anisotropic binary quadratic form, reaching q^2 + 1 columns;
 - a caller-supplied database of generator matrices keyed by (q, n, k).
@@ -41,7 +45,8 @@ from typing import Mapping, Sequence
 from .algebra import Field
 from .bounds import (STATUS_OPTIMAL, go_bound, locality_upper,
                      singleton_bound, status_label)
-from .codes import Budget, LinearCode, min_distance
+from .codes import (Budget, LinearCode, byte_packed_add, dual_of_span,
+                    min_distance)
 from .errors import ConstructionError, InternalConsistencyError
 from .qc import ConstituentDecomposition
 
@@ -69,26 +74,35 @@ def _verified(code: LinearCode, n: int, k: int, d: int,
 
 
 def _identity_padded(field: Field, n: int, k: int) -> LinearCode:
-    rows = [tuple(1 if c == r else 0 for c in range(n)) for r in range(k)]
-    return LinearCode.from_rows(field, n, rows)
+    """Identity rows padded with zero columns: already in RREF."""
+    rows = tuple(tuple(1 if c == r else 0 for c in range(n))
+                 for r in range(k))
+    return LinearCode(field, n, rows, tuple(range(k)))
 
 
 def _from_parity_columns(field: Field, cols: Sequence[Sequence[int]]
                          ) -> LinearCode:
     red = len(cols[0])
     rows = [tuple(col[r] for col in cols) for r in range(red)]
-    return LinearCode.from_rows(field, len(cols), rows).dual()
+    return dual_of_span(field, len(cols), rows)
 
 
 def _power_column_code(field: Field, n: int, k: int, d: int
                        ) -> LinearCode | None:
-    """[n, k, d] from a redundancy d-1 core plus n-k-d+1 zero columns."""
+    """[n, k, d] from a redundancy d-1 core plus n-k-d+1 zero columns.
+
+    The core is in RREF (at d = 2 it is [I | -1], otherwise the dual of
+    its parity checks, one rref), and zero columns appended to RREF rows
+    leave them in RREF with the same pivots, so the padded code is built
+    as it stands, with no further reduction.
+    """
     rho = d - 1
-    pad = n - k - rho
+    pad = (0,) * (n - k - rho)
     n_core = k + rho
     if rho == 1:
-        core_rows = [tuple(1 if c == r else 0 for c in range(k))
-                     + (field.neg(1),) for r in range(k)]
+        rows = [tuple(1 if c == r else 0 for c in range(k))
+                + (field.neg(1),) for r in range(k)]
+        pivots = tuple(range(k))
     else:
         if n_core > field.order + 1:
             return None
@@ -96,9 +110,9 @@ def _power_column_code(field: Field, n: int, k: int, d: int
                 for a in range(min(n_core, field.order))]
         if n_core == field.order + 1:
             cols.append(tuple(0 if e < rho - 1 else 1 for e in range(rho)))
-        core_rows = _from_parity_columns(field, cols).rows
-    rows = [tuple(r) + (0,) * pad for r in core_rows]
-    return LinearCode.from_rows(field, n, rows)
+        core = _from_parity_columns(field, cols)
+        rows, pivots = core.rows, core.pivots
+    return LinearCode(field, n, tuple(row + pad for row in rows), pivots)
 
 
 @lru_cache(maxsize=None)
@@ -111,28 +125,41 @@ def _greedy_columns(field: Field, red: int, d: int
     columns combine to it.  ``covered`` maps every such combination to
     the fewest chosen columns that reach it, so the test is one lookup;
     an accepted column extends every entry still below d-2 columns by
-    each of its nonzero multiples.  At d = 2 no entry is ever below 0
-    columns, so only the zero column is covered and the multiples are not
-    formed.  A key whose scan could take more than GREEDY_WORK_BUDGET
-    steps gets no columns.
+    each of its nonzero multiples (``Field.scale_row``).  At d = 2 no
+    entry is ever below 0 columns, so only the zero column is covered and
+    the multiples are not formed.  Over a field with byte scalings the
+    keys are byte-packed ints, as the rows of ``rref``, added by xor or
+    the biased byte-wise add (``byte_packed_add``); other fields key on
+    tuples added by ``Field.axpy``.  Both accept the same columns.  A key
+    whose scan could take more than GREEDY_WORK_BUDGET steps gets no
+    columns.
     """
     q = field.order
     if (q ** red - 1) * q ** red > GREEDY_WORK_BUDGET:
         return ()
-    covered = {(0,) * red: 0}
+    add = byte_packed_add(field, red)
+    if add is None:
+        pack = tuple
+
+        def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(field.axpy(x, 1, y))
+    else:
+        def pack(vec: Sequence[int]) -> int:
+            return int.from_bytes(bytes(vec), "little")
+    covered = {pack((0,) * red): 0}
     chosen = []
     # product runs in base-q counting order, first coordinate highest
     for col in islice(product(range(q), repeat=red), 1, None):
-        if col in covered:
+        if pack(col) in covered:
             continue
         chosen.append(col)
         if d <= 2:
             continue
-        multiples = [field.scale_row(a, col) for a in range(1, q)]
+        multiples = [pack(field.scale_row(a, col)) for a in range(1, q)]
         for vec, t in list(covered.items()):
             if t < d - 2:
                 for mult in multiples:
-                    key = tuple(field.axpy(vec, 1, mult))
+                    key = add(vec, mult)
                     if covered.get(key, d) > t + 1:
                         covered[key] = t + 1
     return tuple(chosen)

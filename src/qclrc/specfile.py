@@ -6,9 +6,10 @@ polynomials.  A bracket polynomial ``[c0 c1 ...]`` lists coefficients
 ascending by degree; ``[0]`` is the zero polynomial.  Blank lines and
 lines starting with ``#`` are skipped; indentation is not significant.
 Parse errors carry 1-based line numbers.  Each distinct entry text is
-checked once per field and the answer cached; the cache answers an entry
-that fails with None, and the line holding it raises the ParseError of
-its first fault.
+checked once per field and the answer kept in one token table per
+(reader, base field, entry size), a dict looked up entry by entry; the
+table answers an entry that fails with None, and the line holding it
+raises the ParseError of its first fault.
 
 Code spec file (:class:`CodeSpec`): headers ``q`` (field order, as
 ``p`` or ``p^a``), ``m`` (shift order) and ``l`` (index), then exactly
@@ -35,7 +36,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import (Field, Poly, factor_unity, make_field, pack_digits,
@@ -129,14 +129,14 @@ def _tuple_parts(text: str, no: int) -> list[str]:
     return inner.split(",")
 
 
-@lru_cache(maxsize=None)
 def _coeffs(tok: str, bound: int, size: int) -> tuple[int, ...] | None:
     """The canonical coefficients of one bracket entry, if it lists at
     most ``size`` of them after trailing zeros are dropped, each below
     ``bound``; None otherwise.
 
-    A pure function of its arguments, cached, so a file pays the regex
-    and the checks once per distinct entry text.
+    A pure function of its arguments, kept in a token table
+    (``_token_table``), so a file pays the regex and the checks once per
+    distinct entry text.
     """
     got = _BRACKET_RE.fullmatch(tok.strip())
     if not got:
@@ -147,7 +147,6 @@ def _coeffs(tok: str, bound: int, size: int) -> tuple[int, ...] | None:
     return cs
 
 
-@lru_cache(maxsize=None)
 def _element(tok: str, base: int, degree: int) -> int | None:
     """The element of the field of order base^degree whose coordinates
     over the field of order ``base`` an entry lists, packed; None as for
@@ -156,10 +155,32 @@ def _element(tok: str, base: int, degree: int) -> int | None:
     return None if cs is None else pack_digits(cs, base)
 
 
+class _Tokens(dict):
+    """Entry text -> what ``read(text, bound, size)`` makes of it, filled
+    on first lookup (``_token_table``)."""
+
+    def __init__(self, read: Callable[[str, int, int], object], bound: int,
+                 size: int):
+        super().__init__()
+        self.read, self.bound, self.size = read, bound, size
+
+    def __missing__(self, tok: str) -> object:
+        got = self[tok] = self.read(tok, self.bound, self.size)
+        return got
+
+
+@lru_cache(maxsize=None)
+def _token_table(read: Callable[[str, int, int], object], bound: int,
+                 size: int) -> _Tokens:
+    """The one token table of a reader, a bound on the values and an
+    entry size."""
+    return _Tokens(read, bound, size)
+
+
 @dataclass(frozen=True)
 class _Kind:
-    """One kind of tuple line: the cached lookup that reads its entries,
-    and the wording of its errors (the entry count, an entry with too
+    """One kind of tuple line: the function that reads its entries, and
+    the wording of its errors (the entry count, an entry with too
     many coordinates, a value outside the field)."""
 
     read: Callable[[str, int, int], object]
@@ -184,7 +205,7 @@ _DATABASE_ROW = _Kind(_element, "row has {got} entries, record length is "
 def _read_tuple(text: str, no: int, kind: _Kind, count: int, bound: int,
                 size: int) -> tuple:
     """The entries of a tuple line, each read by ``kind.read(entry,
-    bound, size)``: one cached lookup per entry.
+    bound, size)``: one token-table lookup per entry.
 
     A line that does not hold ``count`` entries that all pass raises the
     ParseError of its first fault: a malformed entry, then the entry
@@ -192,7 +213,8 @@ def _read_tuple(text: str, no: int, kind: _Kind, count: int, bound: int,
     field.
     """
     parts = _tuple_parts(text, no)
-    entries = tuple(map(kind.read, parts, repeat(bound), repeat(size)))
+    entries = tuple(map(_token_table(kind.read, bound, size).__getitem__,
+                        parts))
     if len(entries) == count and None not in entries:
         return entries
     failed = [part.strip() for part, entry in zip(parts, entries)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from qclrc import algebra, bounds, codes, qc
+from qclrc import algebra, bounds, codes, qc, specfile
 from qclrc.algebra import Poly, make_field
 from qclrc.bounds import (full_report, go_bound, locality_upper,
                           prefix_bound)
@@ -25,7 +25,7 @@ LAYER_CACHES = (bounds._go_bound, bounds._prefix_bound,
                 bounds._locality_upper, bounds._subset_distances,
                 qc._root_values, qc._trace_block)
 EVERY_CACHE = LAYER_CACHES + (algebra._factor_unity, algebra.make_field,
-                              codes._auto_distance)
+                              codes._auto_distance, specfile._token_table)
 
 
 def _draw(rng) -> tuple[int, int, int, tuple]:

@@ -169,6 +169,31 @@ def test_from_rows_rejects_bad_shape_and_entries():
         LinearCode.from_rows(F2, 2, [[1, 2]])
 
 
+def test_from_rows_names_the_first_fault_row_by_row():
+    # the one-pass check only decides that some row fails; the message
+    # is the first fault in row order, length or entry
+    for rows, message in (
+            ([[1, 0, 2], [1, 0]], "entry 2 outside field of order 2"),
+            ([[1, 0], [1, 0, 2]], "row length 2 != code length 3"),
+            ([[0, 1, 1], [1, -1, 0]], "entry -1 outside field of order 2"),
+            ([[0, 1, 1], [1, 1, 0], [1, 0, 0, 0]],
+             "row length 4 != code length 3")):
+        with pytest.raises(ValueError) as err:
+            LinearCode.from_rows(F2, 3, rows)
+        assert str(err.value) == message
+    assert LinearCode.from_rows(F2, 0, [(), ()]) == LinearCode.zero(F2, 0)
+    assert LinearCode.from_rows(F2, 3, []) == LinearCode.zero(F2, 3)
+
+
+def test_dimension_is_a_field_out_of_repr_and_comparison():
+    code = LinearCode.from_rows(F3, 4, [[1, 2, 0, 1], [0, 1, 1, 1]])
+    for c in (code, code.dual(), LinearCode.zero(F3, 4),
+              LinearCode.full(F3, 4)):
+        assert c.k == len(c.rows)
+    assert "k=" not in repr(code)
+    assert code == LinearCode(F3, 4, code.rows, code.pivots)
+
+
 def test_zero_and_full_codes():
     z = LinearCode.zero(F3, 4)
     assert z.k == 0 and z.is_zero()
@@ -224,6 +249,35 @@ def test_double_dual_is_identity(rng):
 def test_dual_of_zero_and_full():
     assert LinearCode.zero(F2, 5).dual() == LinearCode.full(F2, 5)
     assert LinearCode.full(F2, 5).dual() == LinearCode.zero(F2, 5)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 3125])
+def test_dual_of_span_reduces_raw_rows_once(rng, q, monkeypatch):
+    # raw rows of any rank, zero rows and repeated or dependent rows
+    # included, with 2 len(rows) on both sides of n: one rref, and the
+    # dual of the code the rows span
+    F = make_field(q)
+    real, calls = codes.rref, []
+
+    def counted(rows, field):
+        calls.append(len(rows))
+        return real(rows, field)
+    monkeypatch.setattr(codes, "rref", counted)
+    for trial in range(40):
+        n = rng.randint(1, 12)
+        rows = [[rng.randrange(q) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+        if rows and trial % 3 == 0:
+            rows.append(F.scale_row(rng.randrange(q), rows[0]))
+        if trial % 5 == 0:
+            rows.append([0] * n)
+        rng.shuffle(rows)
+        code = LinearCode.from_rows(F, n, rows)
+        expected = LinearCode.from_rows(F, n, orthogonal_basis(code))
+        assert code.dual() == expected
+        calls.clear()
+        assert codes.dual_of_span(F, n, rows) == expected
+        assert calls == [len(rows)]
 
 
 def orthogonal_basis(code):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from qclrc import bounds
+from qclrc import bounds, codes, construct
 from qclrc.algebra import factor_unity, make_field
 from qclrc.bounds import prefix_bound, singleton_bound
 from qclrc.codes import Budget, LinearCode, min_distance, rref
@@ -451,3 +451,119 @@ def test_scan_members_satisfy_prefix_floor(rng):
                                        generator_matrix(member))
             assert min_distance(lin) >= prefix_bound(member).value
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# rung outputs built in RREF, one reduction per dual, packed greedy keys
+
+RUNG_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 3125)
+PACKED_GREEDY_FIELDS = (2, 3, 4, 5, 7, 8, 16)
+
+
+def assert_as_reduced(code: LinearCode) -> None:
+    """The code a rung built equals the code reduced from its rows."""
+    assert code == LinearCode.from_rows(code.field, code.n, code.rows)
+
+
+def _rung_outputs(F):
+    """(rung, code) for every rung that applies over F, at lengths up to
+    40: identity, power columns at rho = 1, 2 and 3 and with the unit
+    column (n_core = q + 1), greedy and quadric columns."""
+    q = F.order
+    out = [("identity", construct._identity_padded(F, n, k))
+           for n, k in ((1, 1), (4, 2), (7, 7))]
+    for n, k, d in ((3, 2, 2), (6, 2, 2), (5, 3, 3), (7, 3, 3), (8, 3, 4),
+                    (27, 24, 4), (q + 1, q - 1, 3), (q + 3, q - 2, 4)):
+        if 1 <= k < n <= 40 and d <= n - k + 1:
+            code = construct._power_column_code(F, n, k, d)
+            if code is not None:
+                unit = d > 2 and k + d - 1 == q + 1
+                rung = "unit" if unit else f"rho{d - 1}"
+                out.append((rung, code))
+    for red, d in ((2, 3), (3, 3), (3, 4), (4, 4)):
+        cols = _greedy_columns(F, red, d)
+        for n in sorted({red + 1, len(cols)}):
+            if red < n <= len(cols):
+                out.append(("greedy",
+                            construct._from_parity_columns(F, cols[:n])))
+    if q <= construct.QUADRIC_FIELD_CAP:
+        cols = construct._quadric_columns(F)
+        for n in (5, 8, len(cols)):
+            out.append(("quadric",
+                        construct._from_parity_columns(F, cols[:n])))
+    return out
+
+
+@pytest.mark.parametrize("q", RUNG_FIELDS)
+def test_every_rung_builds_the_code_its_rows_reduce_to(q):
+    # over F_3125 the unit column needs n_core = 3126, and the greedy and
+    # quadric rungs serve no key, so there the power columns are checked
+    F = make_field(q)
+    outputs = _rung_outputs(F)
+    for _, code in outputs:
+        assert_as_reduced(code)
+    rungs = {rung for rung, _ in outputs}
+    assert {"identity", "rho1"} <= rungs
+    if q >= 7:
+        assert {"rho2", "rho3"} <= rungs
+    if q <= 16:
+        assert {"unit", "greedy", "quadric"} <= rungs
+
+
+def test_exact_code_outputs_are_reduced_on_every_rung():
+    # the ladder's answers through exact_code itself, one per rung:
+    # identity, rho = 1, rho = 3 over F_3125, the unit column, greedy
+    # and quadric
+    for F, n, k, d in ((F5, 6, 4, 1), (F5, 9, 4, 2), (make_field(3125), 27,
+                                                      24, 4),
+                       (F4, 5, 2, 4), (F2, 15, 11, 3), (F5, 17, 13, 4)):
+        assert_as_reduced(exact_code(F, n, k, d))
+
+
+@pytest.mark.parametrize("q", PACKED_GREEDY_FIELDS)
+def test_packed_greedy_accepts_the_columns_of_the_tuple_greedy(
+        q, monkeypatch):
+    # every key the work bound admits: the byte-packed scan against the
+    # tuple scan, forced by a field with no packed add
+    F = make_field(q)
+    keys = [(red, d) for red in range(1, 11)
+            if (q ** red - 1) * q ** red <= construct.GREEDY_WORK_BUDGET
+            for d in range(2, red + 2)]
+    assert construct.byte_packed_add(F, 1) is not None
+    packed = [_greedy_columns(F, red, d) for red, d in keys]
+    _greedy_columns.cache_clear()
+    monkeypatch.setattr(construct, "byte_packed_add", lambda field, w: None)
+    assert [_greedy_columns(F, red, d) for red, d in keys] == packed
+    assert all(packed)
+
+
+def _count_rref(monkeypatch) -> list:
+    calls = []
+    real = codes.rref
+
+    def counted(rows, field):
+        calls.append(field.order)
+        return real(rows, field)
+    monkeypatch.setattr(codes, "rref", counted)
+    return calls
+
+
+def test_rungs_reduce_once_per_dual_and_never_otherwise(monkeypatch):
+    F3125 = make_field(3125)
+    calls = _count_rref(monkeypatch)
+    code = construct._power_column_code(F3125, 27, 24, 4)
+    assert (code.n, code.k) == (27, 24)
+    assert calls == [3125]
+    calls.clear()
+    construct._identity_padded(F3125, 30, 5)
+    construct._identity_padded(F2, 7, 3)
+    construct._power_column_code(F5, 9, 4, 2)
+    assert calls == []
+    # a greedy or quadric code is the dual of its parity checks: one rref
+    # of the raw checks, whether 2 red < n or not
+    hamming = _greedy_columns(F2, 4, 3)
+    for F, cols in ((F2, hamming), (F2, hamming[:6]),
+                    (F3, construct._quadric_columns(F3)[:10])):
+        calls.clear()
+        construct._from_parity_columns(F, cols)
+        assert calls == [F.order]

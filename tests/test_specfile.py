@@ -2,6 +2,7 @@
 
 import pytest
 
+from qclrc import specfile
 from qclrc.algebra import factor_unity, make_field
 from qclrc.codes import LinearCode
 from qclrc.errors import ParseError
@@ -382,6 +383,25 @@ def test_cached_entries_keep_every_parse_error(read, good, bad, line,
     with pytest.raises(ParseError) as warm:
         read(bad)
     assert (warm.value.line, str(warm.value)) == (line, str(cold.value))
+
+
+def test_one_token_table_per_reader_and_field():
+    # a matrix over F_4 reads its entries through the table of (element,
+    # base 2, degree 2): each distinct entry text once, a rejected one
+    # kept as None; F_2 has a table of its own, where [1 1] is rejected
+    text = "q: 4\nn: 3\nrows:\n- ([1 1], [0], [0 1])\n- ([1 1],[0],[1])\n"
+    mat = parse_matrix(text)
+    assert mat.rows == ((3, 0, 2), (3, 0, 1))
+    f4 = specfile._token_table(specfile._element, 2, 2)
+    assert f4 == {"[1 1]": 3, " [0]": 0, " [0 1]": 2, "[0]": 0, "[1]": 1}
+    assert parse_matrix(text) == mat and len(f4) == 5
+    with pytest.raises(ParseError, match="coordinate 2 outside"):
+        parse_matrix("q: 4\nn: 1\nrows:\n- ([2])\n")
+    assert f4.get("[2]", 0) is None
+    with pytest.raises(ParseError, match="entry has 2 coordinates"):
+        parse_matrix("q: 2\nn: 1\nrows:\n- ([1 1])\n")
+    f2 = specfile._token_table(specfile._element, 2, 1)
+    assert f2 is not f4 and f2 == {"[1 1]": None}
 
 
 # -- database files -----------------------------------------------------------------
