@@ -10,23 +10,25 @@ those that fit their budgets (``distance_strategy``); both give the same
 answer, so the choice only moves the running time.
 
 Row reduction (``rref``) holds each row as one Python int, one byte per
-entry, over the fields whose sums work byte by byte: F_2^a for a <= 8,
-where rows add by xor, and the prime fields below 128, where they add
-byte-wise with one biased carry step.  A row is scaled by
-``bytes.translate`` through a 256-byte table per scalar, built once per
-field from ``algebra.multiplication_table``.  Every other field reduces
-rows entry by entry through ``Field.axpy``; both give the same tuples.
+entry, over the fields whose sums work byte by byte: F_2^a for a <= 8
+and the prime fields below 128.  A row is scaled by ``bytes.translate``
+through a 256-byte table per scalar, built once per field from
+``algebra.multiplication_table``.  Every other field reduces rows entry
+by entry through ``Field.axpy``; both give the same tuples.  These
+rows, their tails, the greedy keys of ``construct`` and the words of
+uint64 limbs below all add by one rule, the slot-wise add
+(``_slot_add``): xor in characteristic 2, otherwise one biased carry
+step per slot of bits.
 
 Enumeration holds each codeword as a row of uint64 limbs in the slots
-of the parity search's syndromes (``_Limbs``): words add by xor in
-characteristic 2 and slot by slot with one biased carry step otherwise,
-and a word's weight is the ``np.bitwise_count`` of its symbols, each
-folded to one bit.  The projective pass weighs only the
-words of the messages whose most significant nonzero digit is 1, (q^k -
-1)/(q - 1) of the q^k, built in message order as spans of the base-p
-digit rows p^a G_i: nonzero multiples of a word have its weight, and the
-multiple with top digit 1 comes first in codeword order, so the pass
-still finds the first least-weight word (``min_weight_codeword``).  For
+of the parity search's syndromes (``_Limbs``), and a word's weight is
+the ``np.bitwise_count`` of its symbols, each folded to one bit.  The
+projective pass weighs only the words of the messages whose most
+significant nonzero digit is 1, (q^k - 1)/(q - 1) of the q^k, built in
+message order as spans of the base-p digit rows p^a G_i: nonzero
+multiples of a word have its weight, and the multiple with top digit
+1 comes first in codeword order, so the pass still finds the first
+least-weight word (``min_weight_codeword``).  For
 ``min_distance`` alone, a code with N >= 2 disjoint information sets may
 instead be searched by the Brouwer-Zimmermann method
 (``_min_weight_bz``): the words of messages of weight t = 1, 2, ... on
@@ -215,25 +217,42 @@ def _byte_scalings(field: Field) -> tuple[bytes, ...] | None:
     return tuple(row.tobytes() for row in table)
 
 
-def byte_packed_add(field: Field, width: int
-                    ) -> Callable[[int, int], int] | None:
-    """Addition of vectors of ``width`` entries held as one Python int,
-    byte j holding entry j, as the rows of ``_rref_bytes``: xor in
-    characteristic 2, the biased byte-wise add for odd p.  None for a
-    field without byte scalings (``_byte_scalings``)."""
-    if _byte_scalings(field) is None:
-        return None
-    p = field.char
+def _slot_add(p: int, bits: int, ones: int
+              ) -> tuple[Callable[[int, int], int], int | None, int | None]:
+    """The slot-wise add of vectors held as one int, ``ones`` holding a 1
+    at the lowest bit of every slot of ``bits`` bits; and, for odd p, its
+    bias and top masks (None for p = 2).
+
+    Every packed-vector add of this module is this one.  In
+    characteristic 2 vectors add by xor, whatever their slots hold.  For
+    odd p a slot holds one base-p digit and 2^(bits-1) >= p: the sum of
+    two reduced digits stays below 2p - 1 < 2^bits, inside its slot, and
+    adding the bias 2^(bits-1) - p to every slot sets a slot's top bit
+    exactly where its digit sum reached p, which is where p is
+    subtracted: s - ((s + bias & top) >> bits - 1) p for s = x + y.
+    """
     if p == 2:
-        return operator.xor
-    ones = int.from_bytes(b"\x01" * width, "little")
-    bias, top = (128 - p) * ones, 128 * ones
+        return operator.xor, None, None
+    half = 1 << bits - 1
+    bias, top, shift = (half - p) * ones, half * ones, bits - 1
 
     def add(x: int, y: int) -> int:
         s = x + y
-        return s - ((s + bias & top) >> 7) * p
+        return s - ((s + bias & top) >> shift) * p
 
-    return add
+    return add, bias, top
+
+
+def byte_packed_add(field: Field, width: int
+                    ) -> Callable[[int, int], int] | None:
+    """Addition of vectors of ``width`` entries held as one Python int,
+    byte j holding entry j, as the rows of ``_rref_bytes``: the slot-wise
+    add (``_slot_add``) with 8-bit slots.  None for a field without byte
+    scalings (``_byte_scalings``)."""
+    if _byte_scalings(field) is None:
+        return None
+    return _slot_add(field.char, 8, int.from_bytes(b"\x01" * width,
+                                                    "little"))[0]
 
 
 def _rref_bytes(rows: Iterable[Sequence[int]], field: Field,
@@ -241,12 +260,9 @@ def _rref_bytes(rows: Iterable[Sequence[int]], field: Field,
                 ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
     """``rref`` with each row one Python int, byte j holding entry j.
 
-    Rows add by xor in characteristic 2.  For odd p the bytes are added
-    as integers, and since both digits are below p < 128 each byte's sum
-    stays below 2p - 1 < 256: adding 128 - p to every byte sets a byte's
-    top bit exactly where its sum reached p, and p is subtracted there
-    (the slot-wise add of ``_Limbs`` with 8-bit slots).  A row
-    is scaled by translating its bytes through the scalar's table.
+    Rows add by the slot-wise add with 8-bit slots (``_slot_add``),
+    written out inline with its masks.  A row is scaled by translating
+    its bytes through the scalar's table.
     """
     mat = [bytes(r) for r in rows]
     if not mat:
@@ -254,9 +270,7 @@ def _rref_bytes(rows: Iterable[Sequence[int]], field: Field,
     ncols = len(mat[0])
     mat = [int.from_bytes(r, "little") for r in mat]
     p = field.char
-    if p != 2:
-        ones = int.from_bytes(b"\x01" * ncols, "little")
-        bias, top = (128 - p) * ones, 128 * ones
+    _, bias, top = _slot_add(p, 8, int.from_bytes(b"\x01" * ncols, "little"))
     nrows = len(mat)
     pivots = []
     r = 0
@@ -460,17 +474,14 @@ class _Limbs:
     """The vectors of one field as rows of uint64 limbs, the word format
     of both exact searches.
 
-    Every base-p digit of every symbol gets its own slot of bits.  In
-    characteristic 2 a slot is one bit and vectors add by xor.  For odd p
-    a slot has b bits with 2^(b-1) >= p: the sum of two reduced digits
-    stays inside its slot, and adding 2^(b-1) - p to every slot sets a
-    slot's top bit exactly where its digit sum reached p, which is where
-    p is subtracted.  Symbol j takes width = b e bits of limb j // per,
-    width (j % per) bits up, per = 64 // width.  Enumeration holds W
-    words as a block of shape (limbs, W), the parity search a vector as
-    one Python int (``ints``).  Where a symbol needs more than 64 bits,
-    per is 0 and neither search packs words (``_layer_costs``,
-    ``_check_enumeration``).
+    Every base-p digit of every symbol gets its own slot of b bits, one
+    bit in characteristic 2 and the fewest with 2^(b-1) >= p otherwise,
+    and vectors add by the slot-wise add (``_slot_add``).  Symbol j takes
+    width = b e bits of limb j // per, width (j % per) bits up, per = 64
+    // width.  Enumeration holds W words as a block of shape (limbs, W),
+    the parity search a vector as one Python int (``ints``).  Where a
+    symbol needs more than 64 bits, per is 0 and neither search packs
+    words (``_layer_costs``, ``_check_enumeration``).
     """
 
     def __init__(self, F: Field):
@@ -479,10 +490,10 @@ class _Limbs:
         self.width = self.bits * self.e
         self.per = 64 // self.width
         full = (1 << self.width * self.per) - 1
-        half = 1 << self.bits - 1   # the top bit of a slot
-        slots = full // ((1 << self.bits) - 1)   # 1 in every slot
-        self.bias = np.uint64(max(half - self.p, 0) * slots)
-        self.top = np.uint64(half * slots)
+        self.ones = full // ((1 << self.bits) - 1)   # 1 in every slot
+        if self.p != 2:
+            _, bias, top = _slot_add(self.p, self.bits, self.ones)
+            self.bias, self.top = np.uint64(bias), np.uint64(top)
         self.carry, self.modulus = np.uint64(self.bits - 1), np.uint64(self.p)
         half = 1 << self.width - 1   # the top bit of a symbol
         symbols = full // ((1 << self.width) - 1)   # 1 in every symbol
@@ -537,18 +548,11 @@ class _Limbs:
         return out
 
     def int_add(self, symbols: int):
-        """Addition of vectors of ``symbols`` symbols held as ``ints``."""
-        if self.p == 2:
-            return operator.xor
-        ones = ((1 << 64 * -(-symbols // self.per)) - 1) // ((1 << 64) - 1)
-        bias, top = int(self.bias) * ones, int(self.top) * ones
-        shift, p = self.bits - 1, self.p
-
-        def add(x: int, y: int) -> int:
-            s = x + y
-            return s - (((s + bias) & top) >> shift) * p
-
-        return add
+        """Addition of vectors of ``symbols`` symbols held as ``ints``:
+        the slot-wise add over the slots of every limb, the padding bits
+        at the top of each limb left out."""
+        limbs = ((1 << 64 * -(-symbols // self.per)) - 1) // ((1 << 64) - 1)
+        return _slot_add(self.p, self.bits, self.ones * limbs)[0]
 
     def span(self, rows: np.ndarray) -> np.ndarray:
         """The F_p-span of rows[0], rows[1], ... (of any leading shape) in
@@ -859,20 +863,19 @@ def _tail_sums(F: Field, tails: list[tuple[int, ...]]) -> bool:
     a f_j, i < j, are looked up in a set of the (q - 1) k multiples of
     the tails and the (q - 1) (n - k) vectors of weight 1.  The tails
     are byte-packed ints, as the rows of ``_rref_bytes``: scaled by
-    ``bytes.translate`` and added by xor or the biased byte-wise add."""
+    ``bytes.translate`` and added by the slot-wise add (``_slot_add``),
+    written out inline with its masks for odd p."""
     p, r, scalings = F.char, len(tails[0]), _byte_scalings(F)[1:]
     multiples = [[int.from_bytes(raw.translate(scale), "little")
                   for scale in scalings] for raw in map(bytes, tails)]
     targets = {c << 8 * t for c in range(1, F.order) for t in range(r)}
     for row in multiples:
         targets.update(row)
+    add, bias, top = _slot_add(p, 8, int.from_bytes(b"\x01" * r, "little"))
     if p == 2:
         def sums(pairs):
-            return starmap(operator.xor, pairs)
+            return starmap(add, pairs)
     else:
-        ones = int.from_bytes(b"\x01" * r, "little")
-        bias, top = (128 - p) * ones, 128 * ones
-
         def sums(pairs) -> list[int]:
             return [s - ((s + bias & top) >> 7) * p
                     for s in starmap(operator.add, pairs)]

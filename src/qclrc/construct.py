@@ -13,14 +13,14 @@ meet; from that member on the family is certified optimal.
 Extended constituents are built by a deterministic ladder and each rung's
 output is verified (length, dimension, exact minimum distance) before use,
 never trusted from the construction alone.  Each rung builds its code in
-RREF with no redundant elimination: identity rows and zero-padded RREF
-rows as they stand, a code given by parity-check columns as their dual
-with one rref (``dual_of_span``).  The rungs:
+RREF with no redundant elimination: zero-padded RREF rows as they
+stand, a code given by parity-check columns as their dual with one rref
+(``dual_of_span``).  The rungs:
 
-- distance 1: identity rows padded with zero columns;
 - distance d with redundancy d-1, and zero-padded if redundancy is larger:
-  parity checks from power columns of the first field elements, plus a
-  unit column when one more column than field elements is needed;
+  at d = 1 the identity rows, at d = 2 [I | -1], beyond that parity
+  checks from power columns of the first field elements, plus a unit
+  column when one more column than field elements is needed;
 - greedy parity columns in base-q counting order, accepting a column iff
   it avoids the span of every (d-2)-subset already chosen, for keys whose
   scan stays within GREEDY_WORK_BUDGET steps; over fields with byte
@@ -73,13 +73,6 @@ def _verified(code: LinearCode, n: int, k: int, d: int,
     return code
 
 
-def _identity_padded(field: Field, n: int, k: int) -> LinearCode:
-    """Identity rows padded with zero columns: already in RREF."""
-    rows = tuple(tuple(1 if c == r else 0 for c in range(n))
-                 for r in range(k))
-    return LinearCode(field, n, rows, tuple(range(k)))
-
-
 def _from_parity_columns(field: Field, cols: Sequence[Sequence[int]]
                          ) -> LinearCode:
     red = len(cols[0])
@@ -91,17 +84,17 @@ def _power_column_code(field: Field, n: int, k: int, d: int
                        ) -> LinearCode | None:
     """[n, k, d] from a redundancy d-1 core plus n-k-d+1 zero columns.
 
-    The core is in RREF (at d = 2 it is [I | -1], otherwise the dual of
-    its parity checks, one rref), and zero columns appended to RREF rows
-    leave them in RREF with the same pivots, so the padded code is built
-    as it stands, with no further reduction.
+    The core is in RREF (at d = 1 it is I, at d = 2 [I | -1], otherwise
+    the dual of its parity checks, one rref), and zero columns appended to
+    RREF rows leave them in RREF with the same pivots, so the padded code
+    is built as it stands, with no further reduction.
     """
     rho = d - 1
     pad = (0,) * (n - k - rho)
     n_core = k + rho
-    if rho == 1:
+    if rho <= 1:
         rows = [tuple(1 if c == r else 0 for c in range(k))
-                + (field.neg(1),) for r in range(k)]
+                + (field.neg(1),) * rho for r in range(k)]
         pivots = tuple(range(k))
     else:
         if n_core > field.order + 1:
@@ -125,14 +118,15 @@ def _greedy_columns(field: Field, red: int, d: int
     columns combine to it.  ``covered`` maps every such combination to
     the fewest chosen columns that reach it, so the test is one lookup;
     an accepted column extends every entry still below d-2 columns by
-    each of its nonzero multiples (``Field.scale_row``).  At d = 2 no
-    entry is ever below 0 columns, so only the zero column is covered and
-    the multiples are not formed.  Over a field with byte scalings the
-    keys are byte-packed ints, as the rows of ``rref``, added by xor or
-    the biased byte-wise add (``byte_packed_add``); other fields key on
-    tuples added by ``Field.axpy``.  Both accept the same columns.  A key
-    whose scan could take more than GREEDY_WORK_BUDGET steps gets no
-    columns.
+    each of its nonzero multiples (``Field.scale_row``).  Those entries
+    are kept in ``frontier``, each appended when it first falls below
+    d-2, so a column walks them alone.  At d = 2 no entry is ever below
+    0 columns, so only the zero column is covered and the multiples are
+    not formed.  Over a field with byte scalings the keys are byte-packed
+    ints, as the rows of ``rref``, added by the slot-wise add
+    (``byte_packed_add``); other fields key on tuples added by
+    ``Field.axpy``.  Both accept the same columns.  A key whose scan
+    could take more than GREEDY_WORK_BUDGET steps gets no columns.
     """
     q = field.order
     if (q ** red - 1) * q ** red > GREEDY_WORK_BUDGET:
@@ -146,7 +140,8 @@ def _greedy_columns(field: Field, red: int, d: int
     else:
         def pack(vec: Sequence[int]) -> int:
             return int.from_bytes(bytes(vec), "little")
-    covered = {pack((0,) * red): 0}
+    zero = pack((0,) * red)
+    covered, frontier = {zero: 0}, [zero]
     chosen = []
     # product runs in base-q counting order, first coordinate highest
     for col in islice(product(range(q), repeat=red), 1, None):
@@ -156,12 +151,16 @@ def _greedy_columns(field: Field, red: int, d: int
         if d <= 2:
             continue
         multiples = [pack(field.scale_row(a, col)) for a in range(1, q)]
-        for vec, t in list(covered.items()):
-            if t < d - 2:
-                for mult in multiples:
-                    key = add(vec, mult)
-                    if covered.get(key, d) > t + 1:
-                        covered[key] = t + 1
+        # the entries this column extends are those below d-2 before it
+        for vec in islice(frontier, len(frontier)):
+            t = covered[vec] + 1
+            for mult in multiples:
+                key = add(vec, mult)
+                had = covered.get(key, d)
+                if had > t:
+                    covered[key] = t
+                    if t < d - 2 <= had:
+                        frontier.append(key)
     return tuple(chosen)
 
 
@@ -227,16 +226,12 @@ def _exact_code(field: Field, n: int, k: int, d: int, budget: Budget,
         raise ConstructionError(
             f"no [{n}, {k}, {d}] code over a field of order {field.order}: "
             f"the distance exceeds the Singleton bound {n - k + 1}")
-    if d == 1:
-        got = _verified(_identity_padded(field, n, k), n, k, d, budget)
+    cand = _power_column_code(field, n, k, d)
+    if cand is not None:
+        got = _verified(cand, n, k, d, budget)
         if got is not None:
             return got
     if d >= 2:
-        cand = _power_column_code(field, n, k, d)
-        if cand is not None:
-            got = _verified(cand, n, k, d, budget)
-            if got is not None:
-                return got
         cols = _greedy_columns(field, n - k, d)
         if len(cols) >= n:
             got = _verified(_from_parity_columns(field, cols[:n]),

@@ -152,6 +152,55 @@ def test_rref_matches_entrywise_elimination(rng, q, packed):
 
 
 # ---------------------------------------------------------------------------
+# the slot-wise add of packed vectors
+
+
+def _digits(rng, p: int, size: int) -> list[int]:
+    """Random digits below p, with 0, 1 and p - 1 drawn often, so that
+    sums below p, at p and up to 2p - 2 all occur."""
+    return [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(size)]
+
+
+def _digitwise_sums(p: int, e: int, xs, ys) -> list[int]:
+    """Field indices whose base-p digits are those of xs and ys added
+    digit by digit mod p."""
+    return [sum((x // p ** a + y // p ** a) % p * p ** a for a in range(e))
+            for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 127))
+def test_byte_packed_add_adds_digitwise_mod_p(rng, p):
+    # one digit a byte, as the rows of rref, the tails and the greedy keys
+    F = make_field(p)
+    for width in (1, 2, 8, 9, 40):
+        add = codes.byte_packed_add(F, width)
+        for _ in range(40):
+            x, y = _digits(rng, p, width), _digits(rng, p, width)
+            got = add(int.from_bytes(bytes(x), "little"),
+                      int.from_bytes(bytes(y), "little"))
+            assert got.to_bytes(width, "little") == bytes(
+                _digitwise_sums(p, 1, x, y))
+
+
+@pytest.mark.parametrize("q", (3, 9, 25, 27))
+def test_limb_words_add_digitwise_mod_p(rng, q):
+    # words of one to four limbs, as Python ints (the parity search) and
+    # as uint64 blocks (enumeration); the limbs of F_3, F_9 and F_27 leave
+    # padding bits at their top, which must stay 0
+    F = make_field(q)
+    K = codes._Limbs(F)
+    for n in (1, K.per, K.per + 1, 3 * K.per + 2):
+        add = K.int_add(n)
+        x, y = ([[sum(d * K.p ** a for a, d in
+                      enumerate(_digits(rng, K.p, K.e))) for _ in range(n)]
+                 for _ in range(30)] for _ in range(2))
+        want = [_digitwise_sums(K.p, K.e, r, s) for r, s in zip(x, y)]
+        X, Y, W = (K.pack(np.array(m, dtype=np.int64)) for m in (x, y, want))
+        assert list(map(add, K.ints(X.T), K.ints(Y.T))) == K.ints(W.T)
+        assert np.array_equal(K.add(X, Y), W)
+
+
+# ---------------------------------------------------------------------------
 # LinearCode basics
 
 

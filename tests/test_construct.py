@@ -470,7 +470,7 @@ def _rung_outputs(F):
     40: identity, power columns at rho = 1, 2 and 3 and with the unit
     column (n_core = q + 1), greedy and quadric columns."""
     q = F.order
-    out = [("identity", construct._identity_padded(F, n, k))
+    out = [("identity", construct._power_column_code(F, n, k, 1))
            for n, k in ((1, 1), (4, 2), (7, 7))]
     for n, k, d in ((3, 2, 2), (6, 2, 2), (5, 3, 3), (7, 3, 3), (8, 3, 4),
                     (27, 24, 4), (q + 1, q - 1, 3), (q + 3, q - 2, 4)):
@@ -555,8 +555,8 @@ def test_rungs_reduce_once_per_dual_and_never_otherwise(monkeypatch):
     assert (code.n, code.k) == (27, 24)
     assert calls == [3125]
     calls.clear()
-    construct._identity_padded(F3125, 30, 5)
-    construct._identity_padded(F2, 7, 3)
+    construct._power_column_code(F3125, 30, 5, 1)
+    construct._power_column_code(F2, 7, 3, 1)
     construct._power_column_code(F5, 9, 4, 2)
     assert calls == []
     # a greedy or quadric code is the dual of its parity checks: one rref

@@ -14,19 +14,25 @@ single-underscore attribute of an object other than ``self`` or ``cls``,
 except for the writes listed in ``FOREIGN_PRIVATE_WRITES``.  Every
 ``lru_cache`` wraps a module-level function or a method of a module-level
 class, where the cold-cache fixture of conftest finds and clears it.
-One guard runs code instead of reading it: hashing a ``Factorization``,
-the key of most caches, reads none of its factors.
+Every place the benchmark's tracer (perfbench/tracer.py) wraps or reads
+still exists, so no change to the package silently breaks a traced run.
+Two guards run code instead of reading it: hashing a ``Factorization``,
+the key of most caches, reads none of its factors, and each traced
+target resolves on the imported package.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
-from qclrc import algebra
+from qclrc import algebra, qc
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qclrc"
+TRACER = ROOT / "perfbench" / "tracer.py"
 SEARCHED = ("src", "tests", "perfbench")
 OLD_BUDGET_KEYWORDS = {"enum_budget", "rank_budget"}
 BUDGET_FIELDS = {"enum", "rank"}
@@ -281,3 +287,50 @@ def test_factorization_hash_reads_no_factor(monkeypatch):
     monkeypatch.setattr(algebra.FactorInfo, "__hash__", counted)
     assert hash(fact) == hash(algebra.factor_unity(11, 5))
     assert hashed == []
+
+
+def _tracer_targets() -> dict:
+    """``TARGETS`` of the benchmark's tracer, read from its source."""
+    for node in _tree(TRACER).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TARGETS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py assigns no TARGETS")
+
+
+def test_every_traced_target_resolves():
+    """The traced run wraps each (module, attribute path) of the
+    tracer's ``TARGETS``: a function of the module, or a method in its
+    class's own ``vars()``."""
+    targets = [place for places in _tracer_targets().values()
+               for place in places]
+    missing = []
+    for module_name, attr in targets:
+        try:
+            owner = importlib.import_module(module_name)
+            *classes, name = attr.split(".")
+            for cls in classes:
+                owner = getattr(owner, cls)
+            found = vars(owner)[name]
+        except (ImportError, AttributeError, KeyError):
+            missing.append(f"{module_name}:{attr}")
+            continue
+        if not callable(getattr(found, "__func__", found)):
+            missing.append(f"{module_name}:{attr}")
+    assert len(targets) >= 20
+    assert missing == []
+
+
+def test_the_tracer_hit_counters_read_existing_caches():
+    """The tracer counts cache hits by reading
+    ``Factorization._subcode_cache`` and
+    ``ConstituentDecomposition._dcache``, the only private state it
+    reads; both stay dict fields of their dataclasses."""
+    read = {node.attr for node in ast.walk(_tree(TRACER))
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not _is_dunder(node.attr)}
+    assert read == {"_subcode_cache", "_dcache"}
+    for cls, name in ((algebra.Factorization, "_subcode_cache"),
+                      (qc.ConstituentDecomposition, "_dcache")):
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        assert fields[name].default_factory is dict
