@@ -20,22 +20,17 @@ uint64 limbs below all add by one rule, the slot-wise add
 (``_slot_add``): xor in characteristic 2, otherwise one biased carry
 step per slot of bits.
 
-Enumeration holds each codeword as a row of uint64 limbs in the slots
-of the parity search's syndromes (``_Limbs``), and a word's weight is
-the ``np.bitwise_count`` of its symbols, each folded to one bit.  The
-projective pass weighs only the words of the messages whose most
-significant nonzero digit is 1, (q^k - 1)/(q - 1) of the q^k, built in
-message order as spans of the base-p digit rows p^a G_i: nonzero
-multiples of a word have its weight, and the multiple with top digit
-1 comes first in codeword order, so the pass still finds the first
-least-weight word (``min_weight_codeword``).  For
-``min_distance`` alone, a code with N >= 2 disjoint information sets may
-instead be searched by the Brouwer-Zimmermann method
-(``_min_weight_bz``): the words of messages of weight t = 1, 2, ... on
-each set's systematic generator, sums of multiples of its rows, until
-the least weight seen meets the floor N (t + 1) that every word not yet
-seen exceeds.  It runs when its estimated cost is lower
-(``_enumeration_plan``).  Either way the enumeration budget bounds q^k.
+Enumeration is one kernel, a projective pass (``_min_weight_enum``).  It
+holds each codeword as a row of uint64 limbs in the slots of the parity
+search's syndromes (``_Limbs``), and a word's weight is the
+``np.bitwise_count`` of its symbols, each folded to one bit.  The pass
+weighs only the words of the messages whose most significant nonzero
+digit is 1, (q^k - 1)/(q - 1) of the q^k, built in message order as
+spans of the base-p digit rows p^a G_i: nonzero multiples of a word have
+its weight, and the multiple with top digit 1 comes first in codeword
+order, so the pass finds the first least-weight word
+(``min_weight_codeword``) and the distance alike.  The enumeration
+budget bounds q^k.
 
 Both kernels know a codeword of weight cap = min(n - k + 1, least
 weight of a generator row) before they start (``_distance_cap``).  The
@@ -85,38 +80,31 @@ class Budget(NamedTuple):
 
 ENUM_BUDGET_DEFAULT, RANK_BUDGET_DEFAULT = Budget()
 
-# Codewords per block of an enumeration (``_projective_blocks``,
-# ``_weight_words``), each a column of uint64 limbs (``_Limbs``).
+# Codewords per block of a projective pass (``_projective_blocks``), each
+# a column of uint64 limbs (``_Limbs``).
 _BLOCK_WORDS = 1 << 13
 
 # Nanoseconds per unit of work of each distance kernel, for the cost
-# rules in distance_strategy, _enumeration_plan and _min_weight_parity.
+# rules in distance_strategy, _enumeration_ns and _min_weight_parity.
 # Enumeration weighs each word at one unit per uint64 limb, at a rate per
 # characteristic (xor, or the slot-wise add), plus a fixed cost per
 # block of a projective pass after the first, and for the first block a
 # fixed number of units plus some per digit row p^a G_i it packs and
-# spans (k e over F_{p^e}), at the same rate; the Brouwer-Zimmermann
-# search adds a fixed cost per level on a set, one per support it
-# unranks and one elimination of k^2 * n units per information set,
-# charged at the rank-check rate; layer w of the parity search does
-# C(n, w) * w^2 * (n - k) units by rank checks, or tabulates and streams
-# the entries counted in _collision_entries by collision, and a search
-# that runs a collision layer first builds and packs the parity-check
-# columns (_PARITY_SETUP_NS); a layer read off the RREF visits the
-# entries counted in _tail_entries (_TAIL_NS each).  Measured on
-# 2-core x86-64, Python 3.11, numpy 2.4.  Enumeration: both kernels on
-# random [2k, k], [3k, k] and [5k, k] codes over F_2..F_729 (F_2 k <= 20
-# to F_729 k = 2), four seeds, the fastest of three runs each; fitted by
-# least squares on the relative error of the runs of at least 1 ms.
-# Passes (96 runs): 2.9 ns per limb in characteristic 2 and 7.6 ns in
-# odd characteristic, 20 and 50 us per block beyond the first; a whole
-# pass of at least 20 blocks takes 2.3-8.6 ns per limb in characteristic
-# 2 (median 4.7) and 7.2-15 ns in odd (median 10.7), its block costs
-# included.  Searches (170 runs), at those rates per limb: 74 ns per
-# support and 146 us per level on a set, within 0.60-3.7 times the
-# estimate (quartiles 0.92 and 1.24).  Finding the information sets,
-# 180-540 ns per k^2 n unit over prime fields and 330-1540 ns over
-# extension fields.  The rank and collision figures are medians over
+# spans (k e over F_{p^e}), at the same rate; layer w of the parity
+# search does C(n, w) * w^2 * (n - k) units by rank checks, or tabulates
+# and streams the entries counted in _collision_entries by collision,
+# and a search that runs a collision layer first builds and packs the
+# parity-check columns (_PARITY_SETUP_NS); a layer read off the RREF
+# visits the entries counted in _tail_entries (_TAIL_NS each).  Measured
+# on 2-core x86-64, Python 3.11, numpy 2.4.  Enumeration: random [2k,
+# k], [3k, k] and [5k, k] codes over F_2..F_729 (F_2 k <= 20 to F_729 k
+# = 2), four seeds, the fastest of three runs each; fitted by least
+# squares on the relative error of the runs of at least 1 ms (96 runs):
+# 2.9 ns per limb in characteristic 2 and 7.6 ns in odd characteristic,
+# 20 and 50 us per block beyond the first; a whole pass of at least 20
+# blocks takes 2.3-8.6 ns per limb in characteristic 2 (median 4.7) and
+# 7.2-15 ns in odd (median 10.7), its block costs included.
+# The rank and collision figures are medians over
 # layers searched to the end (a layer that finds its word stops early),
 # over F_2..F_9, F_16, F_25, F_27, F_49, F_67 and F_125 (layers of at
 # least 5000 entries or 50000 units).  Collision, the normalisation of
@@ -153,8 +141,6 @@ _FIRST_BLOCK_UNITS = 8400.0
 _DIGIT_ROW_UNITS = 2500.0
 _PARITY_SETUP_NS = 75000.0
 _TAIL_NS = 110.0
-_SUPPORT_NS = 75.0
-_STEP_NS = 150000.0
 _RANK_NS = 300.0
 _COLLISION_NS_CHAR2 = 400.0
 _COLLISION_NS_ODD = 700.0
@@ -397,24 +383,9 @@ class LinearCode:
         return all(v == 0 for v in self.reduce(vec))
 
     def dual(self) -> "LinearCode":
-        """The code of vectors orthogonal to every generator row.
-
-        Rows R with a 1 at each pivot p, where every other row is 0, give
-        the dual the basis e_f - sum_p R_p[f] e_p, one vector per column
-        f that is no pivot (``_complement``).  From the RREF of the code,
-        where R_p[f] != 0 only for f > p, each vector ends in its 1: that
-        is the dual's reverse echelon form, reduced again by one rref of
-        n - k rows.  From the reverse RREF (the RREF of the rows with the
-        columns reversed, read back), where R_p[f] != 0 only for f < p,
-        each vector starts with its 1 and the basis is the dual's RREF as
-        it stands (``dual_of_span``).  So the smaller side is reduced: the
-        code's k rows when 2k < n, the dual's n - k rows otherwise.
-        """
-        F, n = self.field, self.n
-        if 2 * self.k < n:
-            return dual_of_span(F, n, self.rows)
-        basis, _ = _complement(F, n, self.rows, self.pivots)
-        return LinearCode.from_rows(F, n, basis)
+        """The code of vectors orthogonal to every generator row
+        (``dual_of_span``)."""
+        return dual_of_span(self.field, self.n, self.rows)
 
     def codewords(self):
         """Iterate all codewords (messages in base-q counting order: the
@@ -453,7 +424,9 @@ def _complement(F: Field, n: int, rows: Sequence[Sequence[int]],
                 pivots: Sequence[int]
                 ) -> tuple[list[list[int]], tuple[int, ...]]:
     """The vectors e_f - sum_p R_p[f] e_p for each column f not in
-    ``pivots``, in increasing f, and those columns (``LinearCode.dual``)."""
+    ``pivots``, in increasing f, and those columns.  Where every row R_p
+    is 1 on its pivot p and 0 on the other pivots, the vectors are a
+    basis of the dual (``dual_of_span``, ``_min_weight_parity``)."""
     taken = set(pivots)
     free = tuple(c for c in range(n) if c not in taken)
     basis = []
@@ -642,121 +615,12 @@ def _min_weight_enum(code: LinearCode) -> tuple[int, np.ndarray | None]:
     return best_w, best
 
 
-@lru_cache(maxsize=None)
-def _information_sets(code: LinearCode
-                      ) -> tuple[tuple[tuple[int, ...],
-                                       tuple[tuple[int, ...], ...]], ...]:
-    """Pairwise disjoint information sets, each with the generator matrix
-    that is systematic on it: (columns, rows) pairs in which rows[i] is 1
-    in columns[i] and 0 in the set's other columns.
-
-    The first set is the pivots of the code's own RREF.  Each next one
-    is the pivots of the RREF taken with the columns not yet used put
-    first, while those columns still have rank k.
-    """
-    F, n, k = code.field, code.n, code.k
-    found = [(code.pivots, code.rows)]
-    used = set(code.pivots)
-    while n - len(used) >= k:
-        order = [c for c in range(n) if c not in used] + sorted(used)
-        ech, _, piv = rref([[row[c] for c in order] for row in code.rows], F)
-        if piv[-1] >= n - len(used):
-            break
-        place = {c: i for i, c in enumerate(order)}
-        cols = tuple(order[p] for p in piv)
-        found.append((cols, tuple(tuple(row[place[c]] for c in range(n))
-                                  for row in ech)))
-        used.update(cols)
-    return tuple(found)
-
-
-def _min_weight_bz(code: LinearCode, sets) -> int:
-    """Least weight over the nonzero codewords, by enumeration over
-    pairwise disjoint information sets (Brouwer-Zimmermann: Zimmermann
-    1996; Grassl, "Searching for linear codes with large minimum
-    distance", 2006).
-
-    ``sets`` holds N generator matrices G_1..G_N systematic on pairwise
-    disjoint information sets I_1..I_N, so the codeword m G_j agrees with
-    the message m on I_j.  Level t encodes on G_1, ..., G_N in turn the
-    messages with exactly t nonzero digits, the most significant of them
-    1; any other message of weight t is a nonzero multiple of one of
-    these, and its codeword has the same weight.  Once level t is done on
-    G_1..G_j, every codeword not yet seen is m G_i with wt(m) > t for
-    i <= j and wt(m) > t - 1 for i > j: it has more than t nonzero
-    symbols on each of I_1..I_j and at least t on each of the others.
-    The sets are disjoint, so its weight is at least N t + j.  The search
-    stops as soon as the least weight seen is at most that floor, and
-    level k on G_1 alone covers every codeword.
-    """
-    F, k = code.field, code.k
-    K = _limbs(F)
-    N = len(sets)
-    multiples = [_row_multiples(K, _packed_rows(F, G), k) for _, G in sets]
-    best = code.n + 1
-    for t in range(1, k + 1):
-        for j, M in enumerate(multiples, 1):
-            for words in _weight_words(K, M, k, t):
-                best = min(best, int(K.weights(words).min()))
-            if best <= N * t + j or t == k:
-                return best
-    return best
-
-
 def _row_multiples(K: _Limbs, R: np.ndarray, k: int) -> np.ndarray:
     """The words c G_i, c = 1..q-1, of the k rows of G as a block, c G_i
     at i (q - 1) + c - 1, from the digit rows R (``_packed_rows``): c G_i
     is word c of the span of the digit rows of G_i."""
     span = K.span(R.reshape(k, K.e, -1).swapaxes(0, 1))
     return span[..., 1:].swapaxes(0, 1).reshape(R.shape[1], -1)
-
-
-def _weight_words(K: _Limbs, M: np.ndarray, k: int, t: int):
-    """Blocks of the words of the messages with exactly t nonzero digits,
-    the most significant of them 1, as sums of the multiples M of the
-    rows (``_row_multiples``): C(k, t) (q - 1)^(t - 1) words in all, about
-    _BLOCK_WORDS a block.  The supports come by rank r < C(k, t) in
-    colexicographic order: the largest position of the support of rank
-    r is the largest c with C(c, t) <= r, and the rest is the support of
-    rank r - C(c, t) one size smaller."""
-    q1 = M.shape[1] // k
-    count, total = q1 ** (t - 1), comb(k, t)
-    places = q1 ** np.arange(t - 1, dtype=np.int64)
-    binomials = [np.array([min(comb(c, i), total) for c in range(k)],
-                          dtype=np.int64) for i in range(t + 1)]
-    step = max(1, _BLOCK_WORDS // count)
-    for lo in range(0, total, step):
-        rank = np.arange(lo, min(total, lo + step), dtype=np.int64)
-        S = np.empty((len(rank), t), dtype=np.intp)
-        for i in range(t, 0, -1):
-            S[:, i - 1] = c = binomials[i].searchsorted(rank, "right") - 1
-            rank -= binomials[i][c]
-        S *= q1
-        top = M[:, S[:, -1], None]
-        for start in range(0, count, _BLOCK_WORDS):
-            C = np.arange(start, min(count, start + _BLOCK_WORDS),
-                          dtype=np.int64)[:, None] // places % q1
-            words = top
-            for i in range(t - 1):
-                words = K.add(words, M.take(S[:, i, None] + C[:, i], axis=1))
-            yield words.reshape(len(M), -1)
-
-
-def _bz_work(q: int, k: int, N: int, cap: int) -> tuple[int, int, int]:
-    """(words, supports, steps) of the longest run of ``_min_weight_bz``
-    with N information sets, given that the first set's rows include a
-    codeword of weight at most cap: a step is one level on one set, and
-    the supports of the levels from 2 on are unranked one by one
-    (``_weight_words``)."""
-    words = supports = steps = 0
-    for t in range(1, k + 1):
-        level = comb(k, t) * (q - 1) ** (t - 1)
-        for j in range(1, N + 1):
-            words, steps = words + level, steps + 1
-            supports += comb(k, t) if t > 1 else 0
-            if N * t + j >= cap or t == k:
-                return words, supports, steps
-    return words, supports, steps
 
 
 def _distance_cap(code: LinearCode) -> int:
@@ -768,55 +632,21 @@ def _distance_cap(code: LinearCode) -> int:
     return code.n - max(row.count(0) for row in code.rows)
 
 
-def _enumeration_plan(code: LinearCode, cap: int,
-                      limit: float = float("inf")
-                      ) -> tuple[float, tuple | None]:
-    """(estimated nanoseconds, information sets or None) of exact
-    enumeration on this code, given an upper bound cap on its distance
-    (``_distance_cap``).
-
-    A projective pass weighs (q^k - 1)/(q - 1) words, about _BLOCK_WORDS
-    a block.  The Brouwer-Zimmermann search needs N >= 2 disjoint
-    information sets, at most n // k of them.  It runs when its
-    worst-case word count (``_bz_work``) is below the projective count
-    and its estimated time is below the projective pass's.  Both charge
-    each word weighed per uint64 limb (``_Limbs``), the pass a fixed cost
-    for its first block that grows with the k e digit rows it packs and
-    spans, and one per block after that, and the search a fixed cost per
-    level on a set, one per support it unranks and an elimination of k^2
-    n units per set, at the rank-check rate.  The sets are only looked
-    for when the search's least estimate over N = 2..n // k is below both
-    the projective pass's and ``limit`` (the cost of another kernel that
-    would win anyway).
-    """
+def _enumeration_ns(code: LinearCode) -> float:
+    """Estimated nanoseconds of a projective pass on this code
+    (``_min_weight_enum``): (q^k - 1)/(q - 1) words, each charged per
+    uint64 limb (``_Limbs``), about _BLOCK_WORDS a block, plus a fixed
+    cost for the first block that grows with the k e digit rows it packs
+    and spans, and one per block after that."""
     F = code.field
     q, n, k = F.order, code.n, code.k
     rate = _ENUM_NS_CHAR2 if F.char == 2 else _ENUM_NS_ODD
     unit = -(-n // _limbs(F).per) * rate
     projective = (q ** k - 1) // (q - 1)
     blocks = -(-projective // _BLOCK_WORDS)
-    plan = (projective * unit + (_FIRST_BLOCK_UNITS + _DIGIT_ROW_UNITS * k
+    return (projective * unit + (_FIRST_BLOCK_UNITS + _DIGIT_ROW_UNITS * k
                                  * F.degree) * rate
-            + (blocks - 1) * _BLOCK_NS, None)
-
-    def search_ns(N: int) -> float:
-        words, supports, steps = _bz_work(q, k, N, cap)
-        if words >= projective:
-            return float("inf")
-        return words * unit + supports * _SUPPORT_NS + steps * _STEP_NS \
-            + N * k * k * n * _RANK_NS
-
-    beat = min(plan[0], limit)
-    if 2 * k * k * n * _RANK_NS >= beat:   # below any search estimate
-        return plan
-    least = min((search_ns(N) for N in range(2, n // k + 1)),
-                default=float("inf"))
-    if least < beat:
-        sets = _information_sets(code)
-        ns = search_ns(len(sets))
-        if len(sets) >= 2 and ns < plan[0]:
-            plan = (ns, sets)
-    return plan
+            + (blocks - 1) * _BLOCK_NS)
 
 
 def _tails(code: LinearCode) -> list[tuple[int, ...]]:
@@ -1237,12 +1067,10 @@ def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
     Enumeration is only a candidate when its q^k codewords fit
     budget.enum and a symbol fits a 64-bit limb (``_Limbs``).  A code of
     one row takes it at once, since its one projective word is the row.
-    Otherwise its estimated time counts the words it weighs: (q^k -
-    1)/(q - 1) for a projective pass, or the worst case of the
-    information-set search where that runs (``_enumeration_plan``).
-    Between two candidates the lower estimated time wins; with neither,
-    the answer is "parity", whose search then reports the exhausted
-    budget.
+    Otherwise its estimated time counts the (q^k - 1)/(q - 1) words its
+    projective pass weighs (``_enumeration_ns``).  Between two
+    candidates the lower estimated time wins; with neither, the answer is
+    "parity", whose search then reports the exhausted budget.
     """
     if code.k == 0:
         raise ValueError("zero code has no minimum distance")
@@ -1250,14 +1078,11 @@ def distance_strategy(code: LinearCode, *, budget: Budget = Budget()
 
 
 @lru_cache(maxsize=None)
-def _auto_plan(code: LinearCode, budget: Budget
-               ) -> tuple[str, tuple | None, int]:
-    """``distance_strategy`` with the information sets its enumeration
-    runs on (None for a projective pass or the parity search) and the
-    cap, so the kernel takes the plan that was priced: one
-    ``_distance_cap`` and at most one ``_enumeration_plan`` per (code,
-    budget), none for k = 1 or for cap <= 2 within budget.rank.  The
-    parity search is priced layer by layer as ``_min_weight_parity``
+def _auto_plan(code: LinearCode, budget: Budget) -> tuple[str, int]:
+    """``distance_strategy`` with the cap, so the kernel takes the cap
+    that was priced: one ``_distance_cap`` per (code, budget), and one
+    ``_enumeration_ns`` where both kernels are candidates and cap > 2.
+    The parity search is priced layer by layer as ``_min_weight_parity``
     runs it: by the entries of the layers read off the RREF, by the
     cheaper search of the others, and by _PARITY_SETUP_NS where a
     collision layer packs the parity-check columns."""
@@ -1265,14 +1090,12 @@ def _auto_plan(code: LinearCode, budget: Budget
     q, n, k = F.order, code.n, code.k
     cap = _distance_cap(code)
     if q ** k > budget.enum or not _limbs(F).per:
-        return "parity", None, cap
+        return "parity", cap
     within = sum(comb(n, w) for w in range(1, cap + 1)) <= budget.rank
     if within and cap <= 2:
-        return "parity", None, cap
-    if k == 1:
-        return "enumeration", None, cap
-    if not within:
-        return "enumeration", _enumeration_plan(code, cap)[1], cap
+        return "parity", cap
+    if k == 1 or not within:
+        return "enumeration", cap
     parity_ns, packs = 0.0, False
     for w in range(2, cap):
         entries = _tail_entries(F, n, k, w)
@@ -1284,26 +1107,25 @@ def _auto_plan(code: LinearCode, budget: Budget
         packs = packs or collision_ns < rank_ns
     if packs:
         parity_ns += _PARITY_SETUP_NS
-    enumeration_ns, sets = _enumeration_plan(code, cap, parity_ns)
-    if parity_ns < enumeration_ns:
-        return "parity", None, cap
-    return "enumeration", sets, cap
+    if parity_ns < _enumeration_ns(code):
+        return "parity", cap
+    return "enumeration", cap
 
 
 def min_distance(code: LinearCode, *, budget: Budget = Budget(),
                  strategy: str = "auto") -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
-    Strategy "enumeration" enumerates the codewords up to scalar
-    multiples, by a projective pass or by the search over disjoint
-    information sets, and needs q^k within budget.enum; "parity"
-    searches for the smallest linearly dependent set of parity-check
-    columns, and stops where that floor meets the weight of a word
-    known from the generator matrix (``_min_weight_parity``); "auto"
-    runs the one ``distance_strategy`` picks, the cheaper by estimate
-    among those within budget.  Weight counts nonzero symbols of the
-    code's own alphabet.  The zero code is rejected; budget exhaustion
-    raises ResourceLimitError rather than returning a wrong answer.
+    Strategy "enumeration" weighs the codewords up to scalar multiples
+    by a projective pass (``_min_weight_enum``), and needs q^k within
+    budget.enum; "parity" searches for the smallest linearly dependent
+    set of parity-check columns, and stops where that floor meets the
+    weight of a word known from the generator matrix
+    (``_min_weight_parity``); "auto" runs the one ``distance_strategy``
+    picks, the cheaper by estimate among those within budget.  Weight
+    counts nonzero symbols of the code's own alphabet.  The zero code is
+    rejected; budget exhaustion raises ResourceLimitError rather than
+    returning a wrong answer.
 
     Answers of strategy "auto" are cached for the life of the process,
     keyed by (code, budget); the code is its RREF generator matrix, so
@@ -1322,15 +1144,15 @@ def min_distance(code: LinearCode, *, budget: Budget = Budget(),
     if strategy == "parity":
         return _min_weight_parity(code, budget, _distance_cap(code))
     _check_enumeration(code, budget)
-    return _enumerate(code, _enumeration_plan(code, _distance_cap(code))[1])
+    return _min_weight_enum(code)[0]
 
 
 @lru_cache(maxsize=None)
 def _auto_distance(code: LinearCode, budget: Budget) -> int:
-    strategy, sets, cap = _auto_plan(code, budget)
+    strategy, cap = _auto_plan(code, budget)
     if strategy == "parity":
         return _min_weight_parity(code, budget, cap)
-    return _enumerate(code, sets)
+    return _min_weight_enum(code)[0]
 
 
 def _check_enumeration(code: LinearCode, budget: Budget) -> None:
@@ -1345,12 +1167,6 @@ def _check_enumeration(code: LinearCode, budget: Budget) -> None:
         raise ResourceLimitError(
             f"instance too large: a symbol of F_{q} takes "
             f"{_limbs(code.field).width} bits, more than one 64-bit limb")
-
-
-def _enumerate(code: LinearCode, sets) -> int:
-    """The distance by the search over the information sets of an
-    enumeration plan, or by a projective pass where they are None."""
-    return _min_weight_bz(code, sets) if sets else _min_weight_enum(code)[0]
 
 
 def min_weight_codeword(code: LinearCode, *, budget: Budget = Budget()

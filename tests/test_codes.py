@@ -496,15 +496,9 @@ def test_distance_strategy_routes_by_cost():
         F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(k)])
         for k in (5, 6))
     assert distance_strategy(rs) == distance_strategy(rs6) == "enumeration"
-    # [15, 5]_16 takes the projective pass, 0.7-0.8 ms against 1.1-1.2 ms
-    # for the search over its three disjoint information sets; [15, 6]_16
-    # takes the search over its two, 6.1-6.3 ms against 7.3-7.5 ms for the
-    # pass (2-core x86-64); a short code keeps the single projective pass
-    assert codes._auto_plan(rs, Budget()) == ("enumeration", None, 11)
-    assert len(codes._auto_plan(rs6, Budget())[1]) == 2
-    short = zero_sum_code(F5, 11)
-    assert codes._enumeration_plan(short, codes._distance_cap(short))[1] \
-        is None
+    # the plan hands the kernel the cap it was priced with
+    assert codes._auto_plan(rs, Budget()) == ("enumeration", 11)
+    assert codes._auto_plan(rs6, Budget()) == ("enumeration", 10)
 
 
 def test_min_distance_auto_enumerates_when_parity_exceeds_rank_budget():
@@ -626,11 +620,10 @@ def test_projective_pass_walks_spans_in_small_blocks(rng, monkeypatch,
 
 
 @pytest.mark.parametrize("q", [81, 128, 243, 256, 729, 3125])
-def test_enumeration_agrees_with_parity_on_large_fields(rng, monkeypatch,
-                                                        q):
+def test_enumeration_agrees_with_parity_on_large_fields(rng, q):
     # extension fields of more than 64 elements: the first least-weight
-    # word and the distance by both enumerations match the codeword scan
-    # and the parity search
+    # word and the distance by enumeration match the codeword scan and
+    # the parity search
     F = make_field(q)
     kmax = 3 if q <= 128 else 2
     for _ in range(5):
@@ -642,15 +635,13 @@ def test_enumeration_agrees_with_parity_on_large_fields(rng, monkeypatch,
             continue
         d = min_distance(code, strategy="parity")
         assert min_weight_codeword(code) == (d, first_word_of_weight(code, d))
-        for plan in (information_set_search, projective_pass):
-            monkeypatch.setattr(codes, "_enumeration_plan", plan)
-            assert min_distance(code, strategy="enumeration") == d
+        assert min_distance(code, strategy="enumeration") == d
 
 
 @pytest.mark.parametrize("q, n, k, support", [(9, 40, 4, 4),
                                                (3125, 27, 2, 3)])
-def test_enumeration_agrees_on_words_of_several_limbs(rng, monkeypatch, q,
-                                                      n, k, support):
+def test_enumeration_agrees_on_words_of_several_limbs(rng, q, n, k,
+                                                      support):
     # a word of 40 symbols over F_9 takes 4 limbs of 10 symbols, and one
     # of 27 over F_3125 9 limbs of 3, as do the parity search's syndromes
     # of 36 and 25 coordinates; rows of a few nonzero symbols keep the
@@ -672,9 +663,7 @@ def test_enumeration_agrees_on_words_of_several_limbs(rng, monkeypatch, q,
         w, word = min_weight_codeword(code)
         assert (w, word) == (d, first_word_of_weight(code, d))
         across += len({j // per for j, v in enumerate(word) if v}) >= 2
-        for plan in (information_set_search, projective_pass):
-            monkeypatch.setattr(codes, "_enumeration_plan", plan)
-            assert min_distance(code, strategy="enumeration") == d
+        assert min_distance(code, strategy="enumeration") == d
     assert across >= 2
 
 
@@ -902,26 +891,15 @@ def test_found_layer_stops_within_one_position_batch(monkeypatch):
     assert min_distance(code, strategy="parity") == 5
 
 
-def information_set_search(code, *_):
-    return (0.0, codes._information_sets(code))
-
-
-def projective_pass(code, *_):
-    return (0.0, None)
-
-
 @pytest.mark.parametrize("block", [1 << 18, 5])
 def test_enumeration_kernels_agree_with_parity(rng, monkeypatch, block):
-    # each code runs the Brouwer-Zimmermann search and the projective
-    # pass, forced through _enumeration_plan, and the parity search; a
-    # block of 5 words splits every level and span of more into several
+    # each code runs the projective pass and the parity search; a block
+    # of 5 words splits every span of more into several
     monkeypatch.setattr(codes, "_BLOCK_WORDS", block)
     fields = [make_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)]
-    searches = counting(monkeypatch, "_min_weight_bz")
     passes = counting(monkeypatch, "_min_weight_enum")
     spans = counted_blocks(monkeypatch, "_projective_blocks")
-    levels = counted_blocks(monkeypatch, "_weight_words")
-    runs, sets_seen = 0, set()
+    runs = 0
     for _ in range(120):
         field = rng.choice(fields)
         n = rng.randint(3, 10)
@@ -929,66 +907,31 @@ def test_enumeration_kernels_agree_with_parity(rng, monkeypatch, block):
         if code.k in (0, n) or field.order ** code.k > 1 << 12:
             continue
         d = min_distance(code, strategy="parity")
-        for plan in (information_set_search, projective_pass):
-            monkeypatch.setattr(codes, "_enumeration_plan", plan)
-            assert min_distance(code, strategy="enumeration") == d
+        assert min_distance(code, strategy="enumeration") == d
         runs += 1
-        sets_seen.add(len(codes._information_sets(code)))
-    assert len(searches) == len(passes) == runs
-    assert {1, 2, 3} <= sets_seen
+    assert len(passes) == runs
     if block == 5:
         # the first block of a pass holds S_t + G_t for each span S_t of
         # at most 4 words: 1 + 2 + 4 words over F_2
-        assert max(levels) <= 5 and max(spans) <= 7
-        assert len(levels) > runs and len(spans) > runs
+        assert max(spans) <= 7
+        assert len(spans) > runs
 
 
-def test_information_sets_are_disjoint_and_systematic(rng):
-    for _ in range(60):
-        field = rng.choice([F2, F3, F4, F5, make_field(9), make_field(16)])
-        n = rng.randint(2, 14)
-        code = random_code(rng, field, n, 4)
-        if code.k == 0:
-            continue
-        sets = codes._information_sets(code)
-        assert sets[0] == (code.pivots, code.rows)
-        used = [c for cols, _ in sets for c in cols]
-        assert len(used) == len(set(used)) == len(sets) * code.k
-        for cols, rows in sets:
-            assert LinearCode.from_rows(field, n, rows) == code
-            assert rref([[row[c] for c in cols] for row in code.rows],
-                        field)[1] == code.k
-            assert [[row[c] for c in cols] for row in rows] == \
-                [[int(i == j) for j in range(code.k)] for i in range(code.k)]
-        # greedy: the columns left over have rank below k
-        rest = [c for c in range(n) if c not in used]
-        assert rref([[row[c] for c in rest] for row in code.rows],
-                    field)[1] < code.k
-
-
-def test_enumeration_budget_boundary(monkeypatch):
-    # q^k = budget.enum enumerates; q^k = budget.enum + 1 raises, on the
-    # projective pass and on the information-set search alike
+def test_enumeration_budget_boundary():
+    # q^k = budget.enum enumerates; q^k = budget.enum + 1 raises
     F16 = make_field(16)
     rs = LinearCode.from_rows(
         F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(5)])
-    searches = counting(monkeypatch, "_min_weight_bz")
-    for plan in (information_set_search, projective_pass):
-        monkeypatch.setattr(codes, "_enumeration_plan", plan)
-        for code, d in ((rs, 11), (zero_sum_code(F3, 7), 2)):
-            size = code.field.order ** code.k
-            assert min_distance(code, strategy="enumeration",
-                                budget=Budget(enum=size)) == d
-            with pytest.raises(ResourceLimitError,
-                               match="enumeration budget"):
-                min_distance(code, strategy="enumeration",
-                             budget=Budget(enum=size - 1))
-            assert min_weight_codeword(code,
-                                       budget=Budget(enum=size))[0] == d
-            with pytest.raises(ResourceLimitError,
-                               match="enumeration budget"):
-                min_weight_codeword(code, budget=Budget(enum=size - 1))
-    assert len(searches) == 2
+    for code, d in ((rs, 11), (zero_sum_code(F3, 7), 2)):
+        size = code.field.order ** code.k
+        assert min_distance(code, strategy="enumeration",
+                            budget=Budget(enum=size)) == d
+        with pytest.raises(ResourceLimitError, match="enumeration budget"):
+            min_distance(code, strategy="enumeration",
+                         budget=Budget(enum=size - 1))
+        assert min_weight_codeword(code, budget=Budget(enum=size))[0] == d
+        with pytest.raises(ResourceLimitError, match="enumeration budget"):
+            min_weight_codeword(code, budget=Budget(enum=size - 1))
 
 
 def cyclic_rows_from_octal(text, n):
@@ -1215,16 +1158,15 @@ def test_auto_distance_cached_per_budget(monkeypatch):
 
 
 def test_cold_auto_distance_plans_once(monkeypatch):
-    # distance_strategy prices the enumeration with the distance cap and
+    # distance_strategy prices the parity search with the distance cap and
     # hands the cap to the kernel: one _distance_cap per cold min_distance,
-    # and one _enumeration_plan unless the cap settles the plan at once
+    # and one _enumeration_ns unless the cap settles the plan at once
     F16 = make_field(16)
     rs, rs6 = (LinearCode.from_rows(
         F16, 15, [[F16.pow(a, e) for a in range(1, 16)] for e in range(k)])
         for k in (5, 6))
-    plans = counting(monkeypatch, "_enumeration_plan")
+    plans = counting(monkeypatch, "_enumeration_ns")
     caps = counting(monkeypatch, "_distance_cap")
-    searches = counting(monkeypatch, "_min_weight_bz")
     parity = counting(monkeypatch, "_min_weight_parity")
     for code, d, plan_calls in ((rs, 11, 1), (rs6, 10, 1),
                                 (zero_sum_code(F5, 11), 2, 0)):
@@ -1233,7 +1175,7 @@ def test_cold_auto_distance_plans_once(monkeypatch):
         assert min_distance(code) == d
         assert distance_strategy(code) in ("enumeration", "parity")
         assert (len(plans), len(caps)) == (plan_calls, 1)
-    assert len(searches) == len(parity) == 1
+    assert len(parity) == 1
 
 
 def test_every_strategy_matches_the_codeword_scan_across_cap_classes(rng):

@@ -3,7 +3,9 @@ tree, with one exception below.
 
 Every name a module imports is used in that module, and every top-level
 function, class and assigned name and every method is referenced
-somewhere in src/, tests/ or perfbench/ besides its own definition.
+somewhere in src/, tests/ or perfbench/ besides its own definition, and
+every private module-level constant (``_RANK_NS``) is read in src/
+itself, so a deleted kernel leaves none of its constants behind.
 Distance budgets travel as one ``codes.Budget`` value: no function takes
 or passes the old ``enum_budget``/``rank_budget`` keywords, and only
 codes.py reads a budget's fields.  Row operations go through the field's
@@ -26,6 +28,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 from qclrc import algebra, qc
@@ -37,6 +40,7 @@ SEARCHED = ("src", "tests", "perfbench")
 OLD_BUDGET_KEYWORDS = {"enum_budget", "rank_budget"}
 BUDGET_FIELDS = {"enum", "rank"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+PRIVATE_CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
 FOREIGN_PRIVATE_WRITES = {
     # The factorization keeps one cyclic subcode per index set, filled
     # here; perfbench/tracer.py reads the dict to count cache hits, so it
@@ -127,6 +131,20 @@ def test_every_definition_is_referenced():
             for name, line in _definitions(_tree(path))
             if name not in referenced]
     assert dead == []
+
+
+def test_every_private_constant_is_read_by_the_package():
+    """A constant only the tests or the benchmark read is dead: the
+    tests pin it, but no kernel of the package uses it."""
+    read: set[str] = set()
+    for path in _modules():
+        read |= _references(_tree(path))
+    constants = [(path.name, name, line) for path in _modules()
+                 for name, line in _definitions(_tree(path))
+                 if PRIVATE_CONSTANT.fullmatch(name)]
+    assert len(constants) >= 20
+    assert [f"{path}:{line} {name}" for path, name, line in constants
+            if name not in read] == []
 
 
 def test_budget_travels_as_one_value():
